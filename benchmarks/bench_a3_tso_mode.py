@@ -63,7 +63,7 @@ def test_a3_tso_mode(benchmark, suite: BenchSuite):
         rows.append((name, mode, len(chunks),
                      100 * stats.fraction_nonzero,
                      outcome.machine_stats["bus"]["transactions"],
-                     outcome.recording.chunk_log_compressed_bytes()))
+                     outcome.recording.chunk_log_bytes(version=2)))
     table = render_table(
         ("workload", "tso mode", "chunks", "RSW>0 %", "bus txns",
          "log bytes (comp)"),

@@ -86,7 +86,7 @@ def main() -> None:
     print(f"\nchunk log: {stats.count} chunks, "
           f"mean {stats.mean:.1f} instructions, "
           f"{recording.chunk_log_bytes():,} B raw / "
-          f"{recording.chunk_log_compressed_bytes():,} B compressed")
+          f"{recording.chunk_log_bytes(version=2):,} B compressed")
     print("termination causes:")
     for reason, fraction in termination_breakdown(recording.chunks).items():
         print(f"  {reason:10s} {100 * fraction:5.1f}%")

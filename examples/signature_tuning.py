@@ -35,7 +35,7 @@ def main() -> None:
         rows.append((bits, stats.count, stats.mean,
                      100 * conflicts,
                      100 * breakdown.get(Reason.SATURATION, 0.0),
-                     recording.chunk_log_compressed_bytes()))
+                     recording.chunk_log_bytes(version=2)))
         print(f"  {bits:>5}-bit signatures: {stats.count} chunks, "
               f"replay verified")
 

@@ -1,10 +1,11 @@
 """Log-size and log-rate metrics (the F3 figure).
 
 The paper's headline: memory-log generation is "insignificant". We report
-bytes per kilo-instruction for the chunk log (raw and compressed) and the
-input log, plus an absolute MB/s figure computed at the QuickIA core
-frequency (the FPGA Pentium cores ran at 60 MHz; the *relative* numbers
-are frequency-independent).
+bytes per kilo-instruction for the chunk log (raw and compressed — the
+compressed figure is the QRCL v2 columnar encoding) and the input log,
+plus an absolute MB/s figure computed at the QuickIA core frequency (the
+FPGA Pentium cores ran at 60 MHz; the *relative* numbers are
+frequency-independent).
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ class LogRates:
     cycles: int
     chunk_entries: int
     chunk_bytes_raw: int
-    chunk_bytes_compressed: int
     input_events: int
     input_bytes: int
-    # v2 (columnar) sizes of the same logs; 0 for rates computed before the
-    # v2 codecs existed.
-    chunk_bytes_v2: int = 0
-    input_bytes_v2: int = 0
+    # v2 (columnar delta-varint + zlib) sizes of the same logs
+    chunk_bytes_v2: int
+    input_bytes_v2: int
 
     @property
     def chunk_bytes_per_kiloinstruction(self) -> float:
@@ -41,7 +40,7 @@ class LogRates:
 
     @property
     def chunk_compressed_per_kiloinstruction(self) -> float:
-        return 1000.0 * self.chunk_bytes_compressed / max(1, self.instructions)
+        return 1000.0 * self.chunk_bytes_v2 / max(1, self.instructions)
 
     @property
     def input_bytes_per_kiloinstruction(self) -> float:
@@ -98,7 +97,6 @@ def log_rates(outcome: RunOutcome, name: str | None = None) -> LogRates:
         cycles=outcome.total_cycles,
         chunk_entries=len(recording.chunks),
         chunk_bytes_raw=recording.chunk_log_bytes(),
-        chunk_bytes_compressed=recording.chunk_log_compressed_bytes(),
         input_events=len(recording.events),
         input_bytes=recording.input_log_bytes(),
         chunk_bytes_v2=recording.chunk_log_bytes(version=2),

@@ -14,9 +14,14 @@ Bundles round-trip to a directory::
       manifest.json    config + metadata + log sizes
       program.json     the exact program image
       input.bin        input-event log
-      chunks.bin       packed chunk log (raw format)
-      chunks.qrz       compressed chunk log (when enabled)
+      chunks.bin       chunk log
       checkpoints.bin  delta-encoded checkpoint section (when present)
+
+``capo.log_version`` selects how both logs are written: v1 is the
+prototype's packed 128-bit chunk entry (and row-packed input events), v2
+the columnar delta-varint + zlib encoding of the same streams. Each kind
+of trace data has exactly one section; readers negotiate the version from
+the stream header.
 
 Loading is *lazy*: ``Recording.load`` reads and validates only the
 manifest and program image; each log section is read and decoded on first
@@ -25,14 +30,17 @@ summaries) therefore never pay for decompressing chunk payloads they do
 not read, which matters once recordings reach millions of chunks.
 
 Error contract: *everything* malformed raises
-:class:`~repro.errors.LogFormatError` — a missing manifest, program image
-or log section (the error names the offending directory), a truncated or
-corrupt section payload, and any count mismatch against the manifest.
+:class:`~repro.errors.LogFormatError` — a missing, unparsable or
+mis-shaped manifest or program image (the error names the file; a config
+key this version does not know, such as a retired knob, is mis-shaped), a
+missing log section (the error names the offending directory), a
+truncated or corrupt section payload, and any count mismatch against the
+manifest.
 Callers handling damaged bundles (triage, crash capture, the flight
 recorder) need exactly one except clause, never a raw ``FileNotFoundError``
 or codec exception. ``save`` keeps the bundle self-consistent on re-save:
-section files a previous save wrote but this save does not (checkpoints
-dropped, compression toggled off) are removed rather than left stale.
+a ``checkpoints.bin`` a previous save wrote is removed when this save
+has no checkpoints, rather than left stale.
 """
 
 from __future__ import annotations
@@ -42,10 +50,9 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..config import SimConfig
-from ..errors import LogFormatError
+from ..errors import ConfigError, LogFormatError
 from ..isa.program import Program
 from ..mrr.chunk import ChunkEntry
-from ..mrr.compression import compress_chunks, decompress_chunks
 from ..mrr.logfmt import (
     CheckpointRecord,
     decode_checkpoints,
@@ -65,7 +72,6 @@ MANIFEST_NAME = "manifest.json"
 PROGRAM_NAME = "program.json"
 INPUT_NAME = "input.bin"
 CHUNKS_NAME = "chunks.bin"
-CHUNKS_COMPRESSED_NAME = "chunks.qrz"
 CHECKPOINTS_NAME = "checkpoints.bin"
 
 
@@ -168,22 +174,18 @@ class Recording:
 
     def chunk_log_bytes(self, version: int | None = None) -> int:
         """Encoded chunk-log size; ``version`` overrides the bundle's
-        configured ``capo.chunk_log_version`` (for v1-vs-v2 comparisons)."""
+        configured ``capo.log_version`` (``version=2`` is the compressed
+        size the log-rate figures report)."""
         if version is None:
-            version = self.config.capo.chunk_log_version
+            version = self.config.capo.log_version
         return len(encode_chunks(self.chunks,
                                  with_load_hash=self.config.mrr.log_load_hash,
                                  version=version))
 
-    def chunk_log_compressed_bytes(self, version: int | None = None) -> int:
-        if version is None:
-            version = self.config.capo.chunk_log_version
-        return len(compress_chunks(self.chunks, version=version))
-
     def input_log_bytes(self, version: int | None = None) -> int:
         """Encoded input-log size; ``version`` as for chunk_log_bytes."""
         if version is None:
-            version = self.config.capo.input_log_version
+            version = self.config.capo.log_version
         return len(encode_events(self.events, version=version))
 
     def total_log_bytes(self) -> int:
@@ -207,24 +209,13 @@ class Recording:
     def save(self, directory: str | Path) -> Path:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        with_hash = self.config.mrr.log_load_hash
-        chunk_version = self.config.capo.chunk_log_version
-        input_version = self.config.capo.input_log_version
-        chunk_blob = encode_chunks(self.chunks, with_load_hash=with_hash,
-                                   version=chunk_version)
-        input_blob = encode_events(self.events, version=input_version)
+        version = self.config.capo.log_version
+        chunk_blob = encode_chunks(
+            self.chunks, with_load_hash=self.config.mrr.log_load_hash,
+            version=version)
+        input_blob = encode_events(self.events, version=version)
         (directory / CHUNKS_NAME).write_bytes(chunk_blob)
         (directory / INPUT_NAME).write_bytes(input_blob)
-        if self.config.capo.compress_chunk_log:
-            (directory / CHUNKS_COMPRESSED_NAME).write_bytes(
-                compress_chunks(self.chunks, version=chunk_version))
-        else:
-            # Re-saving into a directory whose previous occupant had the
-            # section: a stale chunks.qrz would shadow nothing today (the
-            # raw log wins on load) but diverges from this save's chunks
-            # the moment chunks.bin is pruned. Same-name sections this
-            # save does not write must not survive it.
-            (directory / CHUNKS_COMPRESSED_NAME).unlink(missing_ok=True)
         if self.checkpoints:
             (directory / CHECKPOINTS_NAME).write_bytes(
                 encode_checkpoints(self.checkpoints))
@@ -243,8 +234,7 @@ class Recording:
             "checkpoint_count": len(self.checkpoints),
             "chunk_log_bytes": len(chunk_blob),
             "input_log_bytes": len(input_blob),
-            "chunk_log_version": chunk_version,
-            "input_log_version": input_version,
+            "log_version": version,
         }
         (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
         (directory / PROGRAM_NAME).write_text(json.dumps(self.program.to_dict()))
@@ -253,28 +243,17 @@ class Recording:
     @classmethod
     def load(cls, directory: str | Path) -> "Recording":
         directory = Path(directory)
-        try:
-            manifest = json.loads((directory / MANIFEST_NAME).read_text())
-        except FileNotFoundError as exc:
-            raise LogFormatError(f"no manifest in {directory}") from exc
-        if manifest.get("format") != "quickrec-recording":
-            raise LogFormatError("not a quickrec recording directory")
-        config = SimConfig.from_dict(manifest["config"])
-        try:
-            program = Program.from_dict(
-                json.loads((directory / PROGRAM_NAME).read_text()))
-        except FileNotFoundError as exc:
-            raise LogFormatError(f"no program image in {directory}") from exc
+        manifest, config = _load_json(directory, MANIFEST_NAME, "manifest",
+                                      _manifest_and_config)
+        program = _load_json(directory, PROGRAM_NAME, "program image",
+                             Program.from_dict)
 
         def load_chunks() -> list[ChunkEntry]:
-            chunk_path = directory / CHUNKS_NAME
-            if chunk_path.exists():
-                chunks = decode_chunks(chunk_path.read_bytes())
-            else:
-                compressed = directory / CHUNKS_COMPRESSED_NAME
-                if not compressed.exists():
-                    raise LogFormatError(f"no chunk log in {directory}")
-                chunks = decompress_chunks(compressed.read_bytes())
+            try:
+                blob = (directory / CHUNKS_NAME).read_bytes()
+            except FileNotFoundError as exc:
+                raise LogFormatError(f"no chunk log in {directory}") from exc
+            chunks = decode_chunks(blob)
             if len(chunks) != manifest.get("chunk_count"):
                 raise LogFormatError("chunk count mismatch against manifest")
             return chunks
@@ -305,3 +284,30 @@ class Recording:
         return cls(config=config, program=program, chunks=load_chunks,
                    events=load_events, metadata=manifest.get("metadata", {}),
                    checkpoints=load_checkpoints)
+
+
+#: What a malformed manifest or program image raises on the way in: JSON
+#: and UTF-8 decode errors (both ``ValueError``), the ``TypeError``/
+#: ``KeyError``/``ConfigError`` of a config with missing, retired or
+#: out-of-range keys, and the shape checks' own ``LogFormatError``.
+_PARSE_ERRORS = (ValueError, TypeError, KeyError, ConfigError, LogFormatError)
+
+
+def _load_json(directory: Path, name: str, what: str,
+               build: Callable[[Any], Any]) -> Any:
+    """``build`` applied to the parsed JSON file ``name``; every failure
+    is a :class:`LogFormatError` naming the bundle file."""
+    path = directory / name
+    try:
+        return build(json.loads(path.read_text(encoding="utf-8")))
+    except FileNotFoundError as exc:
+        raise LogFormatError(f"no {what} in {directory}") from exc
+    except _PARSE_ERRORS as exc:
+        raise LogFormatError(
+            f"malformed {what} {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _manifest_and_config(data: Any) -> tuple[dict[str, Any], SimConfig]:
+    if not isinstance(data, dict) or data.get("format") != "quickrec-recording":
+        raise LogFormatError("not a quickrec recording")
+    return data, SimConfig.from_dict(data["config"])

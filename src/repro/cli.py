@@ -152,8 +152,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         config = dataclasses.replace(
             config,
             capo=dataclasses.replace(config.capo,
-                                     input_log_version=args.log_version,
-                                     chunk_log_version=args.log_version,
+                                     log_version=args.log_version,
                                      input_batch_events=args.batch))
     config = _flight_overrides(args, _machine_overrides(args, config))
     outcome = session.record(program, seed=args.seed, policy=args.policy,
@@ -349,7 +348,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         "mean chunk (instr)": stats.mean,
         "p90 chunk": stats.p90,
         "chunk log bytes": recording.chunk_log_bytes(),
-        "compressed bytes": recording.chunk_log_compressed_bytes(),
+        "compressed bytes": recording.chunk_log_bytes(version=2),
         "input events": len(recording.events),
         "input log bytes": recording.input_log_bytes(),
         "checkpoints": len(recording.checkpoints),

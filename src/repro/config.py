@@ -204,10 +204,10 @@ class CapoConfig:
     across each batch. 0 keeps the per-event path (and its legacy cycle
     accounting; the logs themselves are bit-identical either way).
 
-    ``input_log_version`` / ``chunk_log_version`` pick the serialization
-    format a bundle is *written* in (1 = row-packed, 2 = columnar
-    delta-varint with streaming zlib); loading negotiates from the stream
-    headers, so either setting reads both.
+    ``log_version`` picks the serialization format both the input log and
+    the chunk log of a bundle are *written* in (1 = row-packed, 2 =
+    columnar delta-varint with streaming zlib); loading negotiates from
+    the stream headers, so either setting reads both.
 
     ``flight_window`` > 0 selects the bounded-memory flight-recorder mode
     (iReplayer-style black box): only the last ``flight_window`` epochs of
@@ -218,12 +218,10 @@ class CapoConfig:
     observer, never a participant.
     """
 
-    compress_chunk_log: bool = True
     log_copy_to_user: bool = True
     drain_on_context_switch: bool = True
     input_batch_events: int = 0
-    input_log_version: int = 1
-    chunk_log_version: int = 1
+    log_version: int = 1
     flight_window: int = 0
     flight_epoch_chunks: int = 64
 
@@ -234,10 +232,8 @@ class CapoConfig:
                  "flight_window must be >= 0 (0 disables the flight ring)")
         _require(self.flight_epoch_chunks >= 1,
                  "flight_epoch_chunks must be >= 1")
-        _require(self.input_log_version in LOG_VERSIONS,
-                 f"input_log_version must be one of {LOG_VERSIONS}")
-        _require(self.chunk_log_version in LOG_VERSIONS,
-                 f"chunk_log_version must be one of {LOG_VERSIONS}")
+        _require(self.log_version in LOG_VERSIONS,
+                 f"log_version must be one of {LOG_VERSIONS}")
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)

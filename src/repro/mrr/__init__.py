@@ -17,7 +17,6 @@ from .signature import BloomSignature
 from .chunk import ChunkEntry, Reason
 from .logfmt import encode_chunks, decode_chunks
 from .recorder import MemoryRaceRecorder
-from .compression import compress_chunks, decompress_chunks, compressed_size
 
 __all__ = [
     "H3Hasher",
@@ -27,7 +26,4 @@ __all__ = [
     "encode_chunks",
     "decode_chunks",
     "MemoryRaceRecorder",
-    "compress_chunks",
-    "decompress_chunks",
-    "compressed_size",
 ]

@@ -40,7 +40,7 @@ import hashlib
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..errors import LogFormatError
 from .chunk import ChunkEntry, Reason
@@ -212,14 +212,6 @@ def _decode_chunks_v2(blob: bytes, flags: int, count: int) -> list[ChunkEntry]:
                                   rsws[i], reason,
                                   hashes[i] if with_hash else None))
     return entries
-
-
-def encoded_size(entries: Iterable[ChunkEntry],
-                 with_load_hash: bool = False) -> int:
-    """Size in bytes of the packed stream without building it."""
-    count = sum(1 for _ in entries)
-    stride = ENTRY_BYTES + (_HASH.size if with_load_hash else 0)
-    return _HEADER.size + count * stride
 
 
 # -- checkpoint section -------------------------------------------------------

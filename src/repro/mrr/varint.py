@@ -1,6 +1,6 @@
 """LEB128 varints with a hard 64-bit cap, shared by every log codec.
 
-Both the input-log (``QRIL``) and chunk-log (``QRCL``/``QRCZ``) formats
+Both the input-log (``QRIL``) and chunk-log (``QRCL``) formats
 define their integer fields as unsigned 64-bit values. The decoder
 therefore refuses continuation chains longer than :data:`MAX_VARINT_BYTES`
 (ten bytes carry 70 payload bits — the canonical u64 LEB128 bound): a

@@ -5,8 +5,8 @@ The paper's guarantee is that the logs capture *all* nondeterminism; this
 subsystem turns that into a continuously-testable property. A campaign
 fans random racy programs (:mod:`repro.workloads.fuzz`) across worker
 processes, runs each seed through a lattice of implementation variants
-(decode cache, snoop filter, compression, telemetry, store-buffer and
-scheduler shapes), and fails on any divergence between variants that must
+(decode cache, snoop filter, coherence fabric, telemetry, log format,
+store-buffer and scheduler shapes), and fails on any divergence between variants that must
 agree bit-for-bit — then delta-debugs failing seeds down to minimal
 reproducers and writes triage artifacts.
 

@@ -9,7 +9,8 @@ baseline plus (with the matrix on) every lattice variant, and collects
 - ``divergence`` — a bit-identical variant's outcome fingerprint differs
   from the baseline's (the differential oracle proper);
 - ``roundtrip``  — a recording failed to survive ``Recording`` save/load
-  or ``compress_chunks``/``decompress_chunks``.
+  or an encode/decode round trip of its chunk or input log in some
+  format version.
 
 Fault injection (``inject=``) perturbs the op list of one variant's
 program, simulating a miscompiled decode closure or a snoop filter that
@@ -19,20 +20,20 @@ and the triage pipeline actually catch real divergences.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import tempfile
 import traceback
 from dataclasses import dataclass
-from pathlib import Path
 
 from .. import session
-from ..capo.input_log import encode_events
-from ..capo.recording import CHUNKS_COMPRESSED_NAME, CHUNKS_NAME, Recording
+from ..capo.input_log import decode_events, encode_events
+from ..capo.recording import Recording
+from ..config import LOG_VERSIONS
 from ..errors import ReproError
 from ..machine import bus as _bus
 from ..machine import core as _core
-from ..mrr.compression import compress_chunks, decompress_chunks
-from ..mrr.logfmt import encode_chunks
+from ..mrr.logfmt import decode_chunks, encode_chunks
 from ..workloads.fuzz import FuzzCase, build_program
 from .variants import BASELINE, Variant, matrix_variants
 
@@ -139,25 +140,27 @@ def run_variant(case: FuzzCase, variant: Variant, inject: str | None = None):
 
 def _roundtrip_failures(recording: Recording,
                         variant_name: str) -> list[SeedFailure]:
-    """Log-format durability: the recording must survive both compression
-    flavours and a full save/load — including the compressed-only load
-    path a bundle with no raw chunk log takes."""
+    """Log-format durability: both logs must survive every format version
+    in stream order, and the recording a full save/load."""
     failures: list[SeedFailure] = []
-    chunks_sorted = sorted(recording.chunks, key=lambda c: c.sort_key)
 
-    for use_zlib in (True, False):
-        label = f"compress_chunks(use_zlib={use_zlib})"
-        try:
-            back = decompress_chunks(
-                compress_chunks(recording.chunks, use_zlib=use_zlib))
-        except ReproError as exc:
-            failures.append(SeedFailure(
-                "roundtrip", variant_name, f"{label}: {exc}"))
-            continue
-        if back != chunks_sorted:
-            failures.append(SeedFailure(
-                "roundtrip", variant_name,
-                f"{label}: entries changed across the round trip"))
+    encode_chunk_log = functools.partial(
+        encode_chunks, with_load_hash=recording.config.mrr.log_load_hash)
+    codecs = (("chunks", encode_chunk_log, decode_chunks, recording.chunks),
+              ("events", encode_events, decode_events, recording.events))
+    for version in LOG_VERSIONS:
+        for what, encode, decode, entries in codecs:
+            label = f"{what} v{version}"
+            try:
+                back = decode(encode(entries, version=version))
+            except ReproError as exc:
+                failures.append(SeedFailure(
+                    "roundtrip", variant_name, f"{label}: {exc}"))
+                continue
+            if back != entries:
+                failures.append(SeedFailure(
+                    "roundtrip", variant_name,
+                    f"{label}: entries changed across the round trip"))
 
     try:
         with tempfile.TemporaryDirectory(prefix="qr-soak-") as tmp:
@@ -177,14 +180,6 @@ def _roundtrip_failures(recording: Recording,
                     failures.append(SeedFailure(
                         "roundtrip", variant_name,
                         f"save/load: {what} changed across the round trip"))
-            if (Path(tmp) / CHUNKS_COMPRESSED_NAME).exists():
-                (Path(tmp) / CHUNKS_NAME).unlink()
-                reloaded = Recording.load(tmp)
-                if reloaded.chunks != chunks_sorted:
-                    failures.append(SeedFailure(
-                        "roundtrip", variant_name,
-                        "save/load via compressed chunk log: entries "
-                        "changed across the round trip"))
     except ReproError as exc:
         failures.append(SeedFailure(
             "roundtrip", variant_name, f"save/load: {exc}"))

@@ -4,10 +4,10 @@ Variants come in two strengths:
 
 - **bit-identical** variants toggle mechanisms that are documented as
   observationally free — the decode cache, presence-based snoop
-  filtering, the directory coherence fabric, telemetry, chunk-log
-  compression-on-save. A run under any of
-  these must produce exactly the baseline's digest (memory image, chunk
-  log, input log, outputs, exit codes, cycle and unit counts). A variant
+  filtering, the directory coherence fabric, telemetry, the log format a
+  bundle is saved in. A run under any of these must produce exactly the
+  baseline's digest (memory image, chunk log, input log, outputs, exit
+  codes, cycle and unit counts). A variant
   may carve out named fingerprint components via ``identical_except`` —
   batched input logging, for instance, changes only cycle accounting.
 - **self-verifying** variants change real machine/kernel shape
@@ -16,8 +16,8 @@ Variants come in two strengths:
   the recorder's own contract: record → replay → verify must pass.
 
 Every variant's recording is additionally round-tripped through
-``Recording`` save/load and ``compress_chunks``/``decompress_chunks`` by
-the differential runner.
+``Recording`` save/load and through both chunk- and input-log format
+versions by the differential runner.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class Variant:
     #: Documented observationally free — directory runs are bit-identical.
     coherence: str | None = None
     telemetry: bool | None = None
-    compress_chunk_log: bool | None = None
     store_buffer_entries: int | None = None
     store_buffer_drain: int | None = None
     quantum: int | None = None
@@ -55,10 +54,10 @@ class Variant:
     #: only cycle accounting, never the logs — pair with
     #: ``identical_except=("cycles",)``.
     input_batch_events: int | None = None
-    #: Serialize the recording bundle with this input/chunk log format
-    #: version (None keeps the case's). Serialization happens at save
-    #: time, so the outcome is fully bit-identical; the save/load
-    #: round-trip is what exercises the codec.
+    #: Serialize the recording bundle with this log format version (None
+    #: keeps the case's). Serialization happens at save time, so the
+    #: outcome is fully bit-identical; the save/load round-trip is what
+    #: exercises the codec.
     log_version: int | None = None
     #: Must this variant's outcome digest equal the baseline's?
     bit_identical: bool = True
@@ -86,16 +85,11 @@ class Variant:
             kernel = dataclasses.replace(
                 kernel, quantum_instructions=self.quantum)
         capo = config.capo
-        if self.compress_chunk_log is not None:
-            capo = dataclasses.replace(
-                capo, compress_chunk_log=self.compress_chunk_log)
         if self.input_batch_events is not None:
             capo = dataclasses.replace(
                 capo, input_batch_events=self.input_batch_events)
         if self.log_version is not None:
-            capo = dataclasses.replace(capo,
-                                       input_log_version=self.log_version,
-                                       chunk_log_version=self.log_version)
+            capo = dataclasses.replace(capo, log_version=self.log_version)
         telemetry = config.telemetry
         if self.telemetry is not None:
             telemetry = dataclasses.replace(telemetry, enabled=self.telemetry)
@@ -113,7 +107,6 @@ MATRIX_VARIANTS: tuple[Variant, ...] = (
     Variant("directory-checkpointed", coherence="directory",
             checkpoint_every=8),
     Variant("telemetry-on", telemetry=True),
-    Variant("zlib-off", compress_chunk_log=False),
     Variant("checkpointed", checkpoint_every=8),
     Variant("log-v2", log_version=2),
     Variant("log-batched", input_batch_events=64,

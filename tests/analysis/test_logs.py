@@ -14,7 +14,7 @@ def test_log_rates_fields(outcome):
     rates = log_rates(outcome)
     assert rates.instructions == outcome.instructions
     assert rates.chunk_entries == len(outcome.recording.chunks)
-    assert rates.chunk_bytes_raw > rates.chunk_bytes_compressed
+    assert rates.chunk_bytes_raw > rates.chunk_bytes_v2
     assert rates.total_bytes == rates.chunk_bytes_raw + rates.input_bytes
 
 

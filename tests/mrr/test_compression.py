@@ -1,18 +1,33 @@
+"""The compressed chunk-log encoding: QRCL v2 (columnar delta-varint + zlib).
+
+The v2 header's ``FLAG_ZLIB`` bit says whether the column body is deflated.
+Writers always set it; the decoder honours either setting, so the
+``use_zlib=False`` cases below rebuild a writer's stream with the body
+inflated and the bit cleared.
+"""
+
+import struct
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LogFormatError
 from repro.mrr.chunk import ChunkEntry, Reason
-from repro.mrr.compression import (
-    compress_chunks,
-    compressed_size,
-    decompress_chunks,
+from repro.mrr.logfmt import (
+    FLAG_ZLIB,
+    MAGIC,
+    VERSION_V2,
+    decode_chunks,
+    encode_chunks,
 )
-from repro.mrr.logfmt import encode_chunks
+
+_HEADER = struct.Struct("<4sBBHI")
 
 
-def make_log(threads=3, per_thread=50):
+def make_log(threads=3, per_thread=50, with_load_hash=False):
+    # drained in timestamp order, so stream order is the sorted order
     entries = []
     ts = 0
     for index in range(threads * per_thread):
@@ -24,77 +39,87 @@ def make_log(threads=3, per_thread=50):
             memops=0,
             rsw=index % 2,
             reason=Reason.ALL[index % len(Reason.ALL)],
+            load_hash=(ts * 0x9E3779B1) & 0xFFFFFFFF if with_load_hash
+            else None,
         ))
     return entries
 
 
+def compress(entries, use_zlib=True, with_load_hash=False):
+    blob = encode_chunks(entries, with_load_hash=with_load_hash,
+                         version=VERSION_V2)
+    if use_zlib:
+        return blob
+    magic, version, flags, reserved, count = _HEADER.unpack_from(blob, 0)
+    return (_HEADER.pack(magic, version, flags & ~FLAG_ZLIB, reserved, count)
+            + zlib.decompress(blob[_HEADER.size:]))
+
+
+def by_sort_key(entries):
+    return sorted(entries, key=lambda e: e.sort_key)
+
+
 def test_round_trip_equals_sorted_original():
     entries = make_log()
-    decoded = decompress_chunks(compress_chunks(entries))
-    assert decoded == sorted(entries, key=lambda e: e.sort_key)
+    decoded = decode_chunks(compress(entries))
+    assert decoded == entries == by_sort_key(entries)
 
 
 def test_round_trip_without_zlib():
     entries = make_log()
-    blob = compress_chunks(entries, use_zlib=False)
-    assert decompress_chunks(blob) == sorted(entries, key=lambda e: e.sort_key)
+    blob = compress(entries, use_zlib=False)
+    assert len(blob) > len(compress(entries))
+    assert decode_chunks(blob) == by_sort_key(entries)
 
 
 def test_compression_beats_raw_format():
     entries = make_log(threads=4, per_thread=200)
     raw = len(encode_chunks(entries))
-    compressed = compressed_size(entries)
+    compressed = len(compress(entries))
     assert compressed < raw / 3
 
 
 def test_empty_log():
-    assert decompress_chunks(compress_chunks([])) == []
+    assert decode_chunks(compress([])) == []
 
 
 def test_bad_magic_rejected():
-    with pytest.raises(LogFormatError):
-        decompress_chunks(b"XXXX\x00")
+    blob = compress(make_log())
+    with pytest.raises(LogFormatError, match="bad magic"):
+        decode_chunks(b"XXXX" + blob[len(MAGIC):])
 
 
 def test_out_of_order_stream_entries_handled():
-    # CBUF drain order can interleave a migrating thread's entries; the
-    # compressor must reorder per-thread streams by timestamp.
+    # CBUF drain order can interleave a migrating thread's entries, so a
+    # per-thread timestamp delta may be negative; the zigzag delta column
+    # must carry it and keep stream order.
     entries = [
         ChunkEntry(1, 10, 1, 0, 0, Reason.RAW),
         ChunkEntry(1, 5, 1, 0, 0, Reason.EXIT),
     ]
-    decoded = decompress_chunks(compress_chunks(entries))
-    assert [entry.timestamp for entry in decoded] == [5, 10]
+    decoded = decode_chunks(compress(entries))
+    assert [entry.timestamp for entry in decoded] == [10, 5]
+    assert decoded == entries
 
 
 def test_large_values_round_trip():
     entries = [ChunkEntry(1, 2**31, 2**30, 1000, 60_000, Reason.SIZE)]
-    assert decompress_chunks(compress_chunks(entries)) == entries
+    assert decode_chunks(compress(entries)) == entries
 
 
 # -- robustness: truncation and corruption must surface as LogFormatError ----
 
 def test_truncated_header_raises_logformat_not_indexerror():
-    # The verified bug: a blob cut right after the magic used to raise a
-    # bare IndexError reading the flags byte.
     with pytest.raises(LogFormatError):
-        decompress_chunks(compress_chunks([])[:4])
-
-
-def test_corrupt_zlib_payload_raises_logformat_not_zlib_error():
-    blob = bytearray(compress_chunks(make_log()))
-    blob[10] ^= 0xFF
-    with pytest.raises(LogFormatError):
-        decompress_chunks(bytes(blob))
+        decode_chunks(compress([])[:4])
 
 
 @pytest.mark.parametrize("use_zlib", [True, False])
 def test_every_truncation_offset_raises_logformat(use_zlib):
-    blob = compress_chunks(make_log(threads=2, per_thread=6),
-                           use_zlib=use_zlib)
+    blob = compress(make_log(threads=2, per_thread=6), use_zlib=use_zlib)
     for cut in range(len(blob)):
         with pytest.raises(LogFormatError):
-            decompress_chunks(blob[:cut])
+            decode_chunks(blob[:cut])
 
 
 @settings(max_examples=200, deadline=None)
@@ -103,59 +128,51 @@ def test_corrupted_byte_never_escapes_logformat(data, use_zlib):
     # Flipping any single byte of a valid blob must either still decode
     # (the corruption landed in a value) or raise LogFormatError — never a
     # raw IndexError/zlib.error/ValueError.
-    blob = bytearray(compress_chunks(make_log(threads=2, per_thread=4),
-                                     use_zlib=use_zlib))
+    blob = bytearray(compress(make_log(threads=2, per_thread=4),
+                              use_zlib=use_zlib))
     position = data.draw(st.integers(0, len(blob) - 1))
     replacement = data.draw(
         st.integers(0, 255).filter(lambda b: b != blob[position]))
     blob[position] = replacement
     try:
-        decompress_chunks(bytes(blob))
+        decode_chunks(bytes(blob))
     except LogFormatError:
         pass
 
 
-# -- v2 (columnar) layout ----------------------------------------------------
+# -- v2 stream with the debug load-hash column -------------------------------
+# The same checks on a stream that also carries the seventh (load-hash)
+# column, and the header's version negotiation on the decode side.
 
 def test_v2_round_trip_equals_sorted_original():
-    entries = make_log()
-    decoded = decompress_chunks(compress_chunks(entries, version=2))
-    assert decoded == sorted(entries, key=lambda e: e.sort_key)
+    entries = make_log(with_load_hash=True)
+    decoded = decode_chunks(compress(entries, with_load_hash=True))
+    assert decoded == by_sort_key(entries)
+    assert decoded[0].load_hash == entries[0].load_hash is not None
 
 
 @pytest.mark.parametrize("use_zlib", [True, False])
 def test_v2_round_trip_both_zlib_modes(use_zlib):
-    entries = make_log(threads=2, per_thread=8)
-    blob = compress_chunks(entries, use_zlib=use_zlib, version=2)
-    assert decompress_chunks(blob) == sorted(entries,
-                                             key=lambda e: e.sort_key)
-
-
-def test_v2_not_larger_than_v1():
-    entries = make_log(threads=4, per_thread=200)
-    assert compressed_size(entries, version=2) <= compressed_size(entries)
+    entries = make_log(threads=2, per_thread=8, with_load_hash=True)
+    blob = compress(entries, use_zlib=use_zlib, with_load_hash=True)
+    assert decode_chunks(blob) == by_sort_key(entries)
 
 
 def test_v2_empty_log():
-    assert decompress_chunks(compress_chunks([], version=2)) == []
+    assert decode_chunks(compress([], with_load_hash=True)) == []
 
 
 def test_v2_unknown_version_rejected():
-    with pytest.raises(LogFormatError):
-        compress_chunks([], version=3)
+    blob = bytearray(compress(make_log(threads=2, per_thread=2)))
+    blob[len(MAGIC)] = 3  # header version byte
+    with pytest.raises(LogFormatError, match="version 3"):
+        decode_chunks(bytes(blob))
 
 
 @pytest.mark.parametrize("use_zlib", [True, False])
 def test_v2_every_truncation_offset_raises_logformat(use_zlib):
-    blob = compress_chunks(make_log(threads=2, per_thread=6),
-                           use_zlib=use_zlib, version=2)
+    blob = compress(make_log(threads=2, per_thread=6, with_load_hash=True),
+                    use_zlib=use_zlib, with_load_hash=True)
     for cut in range(len(blob)):
         with pytest.raises(LogFormatError):
-            decompress_chunks(blob[:cut])
-
-
-def test_unbounded_varint_rejected():
-    # regression: a 0x80 run must fail fast at MAX_VARINT_BYTES, not walk
-    # the whole payload
-    with pytest.raises(LogFormatError):
-        decompress_chunks(b"QRCZ\x00" + b"\x80" * 64 + b"\x01")
+            decode_chunks(blob[:cut])

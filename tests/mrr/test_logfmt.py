@@ -1,12 +1,17 @@
+import struct
+import zlib
+
 import pytest
 
 from repro.errors import LogFormatError
 from repro.mrr.chunk import ChunkEntry, Reason
 from repro.mrr.logfmt import (
     ENTRY_BYTES,
+    FLAG_ZLIB,
+    MAGIC,
+    VERSION_V2,
     decode_chunks,
     encode_chunks,
-    encoded_size,
 )
 
 
@@ -34,11 +39,6 @@ def test_entry_is_16_bytes():
     assert ENTRY_BYTES == 16
     blob = encode_chunks(sample_entries())
     assert len(blob) == 12 + 4 * 16
-
-
-def test_encoded_size_matches():
-    entries = sample_entries()
-    assert encoded_size(entries) == len(encode_chunks(entries))
 
 
 def test_empty_stream():
@@ -118,6 +118,21 @@ def test_v2_truncation_rejected_at_every_offset():
     for cut in range(len(blob)):
         with pytest.raises(LogFormatError):
             decode_chunks(blob[:cut])
+
+
+def test_v2_corrupt_zlib_payload_rejected():
+    blob = bytearray(encode_chunks(sample_entries(), version=2))
+    blob[12] ^= 0xFF  # first byte of the zlib stream header
+    with pytest.raises(LogFormatError):
+        decode_chunks(bytes(blob))
+
+
+def test_v2_unbounded_varint_rejected():
+    # a 0x80 continuation run must fail fast at MAX_VARINT_BYTES, not
+    # decode into an arbitrarily large int
+    header = struct.pack("<4sBBHI", MAGIC, VERSION_V2, FLAG_ZLIB, 0, 1)
+    with pytest.raises(LogFormatError, match="continuation chain"):
+        decode_chunks(header + zlib.compress(b"\x80" * 64 + b"\x01"))
 
 
 def test_v2_trailing_garbage_rejected():

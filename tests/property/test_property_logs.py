@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from repro.capo.events import InputEvent, KINDS, NONDET_KINDS
 from repro.capo.input_log import decode_events, encode_events
 from repro.mrr.chunk import ChunkEntry, Reason
-from repro.mrr.compression import compress_chunks, decompress_chunks
 from repro.mrr.logfmt import decode_chunks, encode_chunks
 
 u16 = st.integers(min_value=0, max_value=0xFFFF)
@@ -61,7 +60,7 @@ def test_packed_chunk_round_trip_with_hashes(entries, hashes):
 
 def make_monotone(entries):
     """Rewrite timestamps so per-thread streams are strictly increasing
-    (the recorder invariant compression relies on)."""
+    (the recorder invariant the delta columns are tuned for)."""
     import dataclasses
 
     counters: dict[int, int] = {}
@@ -77,9 +76,7 @@ def make_monotone(entries):
 @settings(max_examples=60, deadline=None)
 def test_compressed_chunk_round_trip(entries):
     entries = make_monotone(entries)
-    decoded = decompress_chunks(compress_chunks(entries))
-    assert sorted(decoded, key=lambda e: (e.rthread, e.timestamp)) == \
-           sorted(entries, key=lambda e: (e.rthread, e.timestamp))
+    assert decode_chunks(encode_chunks(entries, version=2)) == entries
 
 
 @given(events=st.lists(event_strategy, max_size=40))
@@ -139,13 +136,18 @@ def test_packed_chunk_cross_version_agreement(entries):
         decode_chunks(encode_chunks(entries, version=2))
 
 
-@given(entries=st.lists(chunk_strategy, max_size=60))
+@given(entries=st.lists(chunk_strategy, max_size=60),
+       hashes=st.lists(st.integers(0, 2**64 - 1), min_size=60, max_size=60))
 @settings(max_examples=40, deadline=None)
-def test_compressed_chunk_v2_round_trip(entries):
-    entries = make_monotone(entries)
-    decoded = decompress_chunks(compress_chunks(entries, version=2))
-    assert sorted(decoded, key=lambda e: (e.rthread, e.timestamp)) == \
-           sorted(entries, key=lambda e: (e.rthread, e.timestamp))
+def test_compressed_chunk_v2_round_trip(entries, hashes):
+    # the compressed stream with its debug load-hash column
+    import dataclasses
+
+    entries = [dataclasses.replace(entry, load_hash=value)
+               for entry, value in zip(make_monotone(entries), hashes)]
+    decoded = decode_chunks(encode_chunks(entries, with_load_hash=True,
+                                          version=2))
+    assert decoded == entries
 
 
 @given(events=st.lists(event_strategy_v2, max_size=12), data=st.data())

@@ -14,6 +14,7 @@ from repro.soak import (
     run_campaign,
     run_seed,
 )
+from repro.soak import differential
 from repro.soak.differential import outcome_fingerprint, run_variant
 from repro.telemetry import Telemetry
 from repro.workloads.fuzz import generate_case
@@ -132,11 +133,26 @@ def test_log_variants_fold_into_capo_config():
     log_v2 = [v for v in matrix_variants() if v.name == "log-v2"][0]
     batched = [v for v in matrix_variants() if v.name == "log-batched"][0]
     cfg = log_v2.apply(DEFAULT_CONFIG)
-    assert cfg.capo.input_log_version == 2
-    assert cfg.capo.chunk_log_version == 2
+    assert cfg.capo.log_version == 2
     assert cfg.capo.input_batch_events == 0
     cfg = batched.apply(DEFAULT_CONFIG)
     assert cfg.capo.input_batch_events == 64
-    assert cfg.capo.input_log_version == 1
+    assert cfg.capo.log_version == 1
     assert batched.identical_except == ("cycles",)
     assert batched.bit_identical and log_v2.bit_identical
+
+
+def test_roundtrip_check_covers_every_log_version(monkeypatch):
+    case = generate_case(3)
+    outcome, _report = run_variant(case, BASELINE)
+    recording = outcome.recording
+    assert differential._roundtrip_failures(recording, "baseline") == []
+
+    # a codec that loses an event must be caught in every format version
+    real = differential.decode_events
+    monkeypatch.setattr(differential, "decode_events",
+                        lambda blob: real(blob)[:-1])
+    failures = differential._roundtrip_failures(recording, "baseline")
+    assert [f.detail for f in failures] == [
+        "events v1: entries changed across the round trip",
+        "events v2: entries changed across the round trip"]

@@ -104,7 +104,7 @@ def test_sim_config_round_trips_through_dict():
         machine=MachineConfig(num_cores=2, memory_bytes=1 << 20),
         mrr=MRRConfig(signature_bits=256, log_load_hash=True),
         kernel=KernelConfig(quantum_instructions=100),
-        capo=CapoConfig(compress_chunk_log=False),
+        capo=CapoConfig(log_copy_to_user=False, log_version=2),
     )
     assert SimConfig.from_dict(config.to_dict()) == config
 
@@ -125,22 +125,20 @@ def test_capo_log_knobs_validated():
     from repro.config import CapoConfig
 
     assert CapoConfig().input_batch_events == 0
-    assert CapoConfig().input_log_version == 1
+    assert CapoConfig().log_version == 1
     with pytest.raises(ConfigError):
         CapoConfig(input_batch_events=-1)
     with pytest.raises(ConfigError):
-        CapoConfig(input_log_version=3)
+        CapoConfig(log_version=3)
     with pytest.raises(ConfigError):
-        CapoConfig(chunk_log_version=0)
+        CapoConfig(log_version=0)
 
 
 def test_old_bundle_dicts_get_log_knob_defaults():
     # a config dict saved before the log knobs existed must still load
     data = SimConfig().to_dict()
-    for key in ("input_batch_events", "input_log_version",
-                "chunk_log_version"):
+    for key in ("input_batch_events", "log_version"):
         del data["capo"][key]
     config = SimConfig.from_dict(data)
     assert config.capo.input_batch_events == 0
-    assert config.capo.input_log_version == 1
-    assert config.capo.chunk_log_version == 1
+    assert config.capo.log_version == 1
