@@ -4,14 +4,16 @@ The rr lineage of the v2 formats: columnar delta-varint fields, a
 content-keyed pool for duplicate copy payloads, streaming zlib. This
 bench measures the size of the *same* recording serialized both ways —
 the compression ratio is the whole argument for the format — plus the
-throughput of the chunked XOR used by the checkpoint delta encoder.
+size and throughput of the page-sparse checkpoint section on a
+checkpointed ``fft`` recording.
 """
 
 import time
 
 from repro.analysis.logs import log_rates
 from repro.analysis.report import render_table
-from repro.mrr.logfmt import _xor_bytes
+from repro.mrr.logfmt import decode_checkpoints, encode_checkpoints
+from repro.session import add_checkpoints
 
 from conftest import MICROS, SPLASH, BenchSuite, publish
 
@@ -44,19 +46,27 @@ def test_t4_log_bandwidth(benchmark, suite: BenchSuite):
         assert rate.input_bytes_v2 <= rate.input_bytes
 
 
-def test_t4_xor_throughput(benchmark):
-    # the checkpoint delta encoder XORs consecutive memory images; the
-    # chunked memoryview implementation must sustain large inputs
-    size = 1 << 22  # a full simulated memory image
-    data = bytes(i & 0xFF for i in range(size))
-    key = bytes((i * 7 + 3) & 0xFF for i in range(size))
+def test_t4_checkpoint_codec(benchmark, suite: BenchSuite):
+    # 16 checkpoint intervals, as in the repository benchmark's splash mix
+    recording = suite.record("fft").recording.replace()
+    add_checkpoints(recording, max(1, -(-len(recording.chunks) // 16)))
+    records = recording.checkpoints
+    raw = sum(len(record.payload) for record in records)
 
-    result = benchmark(lambda: _xor_bytes(data, key))
-    assert len(result) == size
-    assert result[:4] == bytes(a ^ b for a, b in zip(data[:4], key[:4]))
-
+    blob = benchmark(lambda: encode_checkpoints(records))
     start = time.perf_counter()
-    _xor_bytes(data, key)
-    elapsed = time.perf_counter() - start
-    publish("t4_xor", f"T4: xor {size / 1e6:.1f} MB in {elapsed * 1e3:.1f} ms"
-                      f" ({size / elapsed / 1e6:.0f} MB/s)")
+    encode_checkpoints(records)
+    encode_s = time.perf_counter() - start
+    start = time.perf_counter()
+    decoded = decode_checkpoints(blob)
+    decode_s = time.perf_counter() - start
+    assert decoded == records
+
+    table = render_table(
+        ("workload", "checkpoints", "raw MB", "section B", "ratio",
+         "encode MB/s", "decode MB/s"),
+        [("fft", len(records), f"{raw / 1e6:.1f}", len(blob),
+          f"{raw / len(blob):.0f}x", f"{raw / encode_s / 1e6:.0f}",
+          f"{raw / decode_s / 1e6:.0f}")],
+        title="T4: checkpoint section (QRCK v2, page-sparse)")
+    publish("t4_checkpoints", table)

@@ -15,7 +15,7 @@ Bundles round-trip to a directory::
       program.json     the exact program image
       input.bin        input-event log
       chunks.bin       chunk log
-      checkpoints.bin  delta-encoded checkpoint section (when present)
+      checkpoints.bin  page-sparse checkpoint section (when present)
 
 ``capo.log_version`` selects how both logs are written: v1 is the
 prototype's packed 128-bit chunk entry (and row-packed input events), v2

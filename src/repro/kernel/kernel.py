@@ -230,16 +230,6 @@ class Kernel:
         task.sig_pending.append(signo)
         return True
 
-    # -- run state ----------------------------------------------------------------
-
-    @property
-    def live_count(self) -> int:
-        return self._live
-
-    def runnable_core_ids(self) -> list[int]:
-        return [core.core_id for core in self.machine.cores
-                if core.task is not None]
-
     # -- the run loop -----------------------------------------------------------------
 
     def run(self, interleaver: Interleaver, max_units: int = 200_000_000) -> int:

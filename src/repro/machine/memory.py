@@ -68,7 +68,7 @@ class PhysicalMemory:
 
     def digest(self) -> str:
         """SHA-256 over the full memory contents, for replay verification."""
-        return hashlib.sha256(bytes(self._data)).hexdigest()
+        return hashlib.sha256(self._data).hexdigest()
 
     def digest_range(self, addr: int, size: int) -> str:
         """SHA-256 over a byte range (e.g. just the data segment)."""

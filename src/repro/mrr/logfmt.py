@@ -26,12 +26,14 @@ preserved exactly, so the v2 round trip is entry-identical to v1's.
 The checkpoint section (magic ``QRCK``) carries periodic snapshots of the
 deterministic replay-visible machine state, keyed by chunk-schedule
 position. Payloads are opaque at this layer (see
-:mod:`repro.replay.checkpoint` for their contents); the section stores
-each one delta-encoded (XOR) against the previous checkpoint's payload and
-zlib-compressed — consecutive snapshots share most of their physical
-memory image, so deltas are overwhelmingly zero bytes. Every record
-carries the SHA-256 of its *raw* payload, verified on decode, which is
-also the seam digest parallel replay validates against.
+:mod:`repro.replay.checkpoint` for their contents) except for one fact:
+they end in the fixed-size memory image. The section cuts each payload
+into 4 KiB pages aligned to its tail and stores only the pages that
+differ from the previous payload (the first against an all-zero one),
+plus the short head in front of the first whole page, in one zlib stream
+per record. Every record carries the SHA-256 of its *raw* payload,
+verified on decode, which is also the seam digest parallel replay
+validates against.
 """
 
 from __future__ import annotations
@@ -217,10 +219,13 @@ def _decode_chunks_v2(blob: bytes, flags: int, count: int) -> list[ChunkEntry]:
 # -- checkpoint section -------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"QRCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+#: Payloads are compared and stored in pages of this size, aligned to the
+#: payload's tail so they line up with the memory image's pages.
+CHECKPOINT_PAGE = 4096
 _CKPT_HEADER = struct.Struct("<4sBBHI")
-_CKPT_ENTRY = struct.Struct("<IIIB32s")  # position, raw_len, comp_len, flags, digest
-_CKPT_FLAG_DELTA = 0x01
+_CKPT_RECORD = struct.Struct("<I32s")  # stored length, digest
+_CKPT_BODY = struct.Struct("<III")  # position, raw length, changed pages
 
 
 @dataclass(frozen=True)
@@ -238,53 +243,87 @@ class CheckpointRecord:
                    digest=hashlib.sha256(payload).hexdigest())
 
 
-#: XOR block size: big enough to amortize the Python-level loop, small
-#: enough that the per-block big-int conversions stay cache-resident
-#: (multi-MB images previously went through two full-image
-#: ``int.from_bytes``/``to_bytes`` conversions, a checkpoint-encode
-#: hot spot that scaled super-linearly with image size).
-_XOR_BLOCK = 1 << 15
-
-
-def _xor_bytes(data: bytes, key: bytes) -> bytes:
-    """``data XOR key`` over ``len(data)`` bytes; ``key`` is zero-padded or
-    truncated to fit (payload sizes drift as the JSON header grows).
-
-    XORs fixed-size blocks through ``int.from_bytes`` over memoryview
-    slices rather than converting the whole image to one big int.
-    """
-    if not data or not key:
-        return data
-    if len(key) < len(data):
-        key = key.ljust(len(data), b"\x00")
-    out = bytearray(len(data))
-    view_data = memoryview(data)
-    view_key = memoryview(key)
-    for start in range(0, len(data), _XOR_BLOCK):
-        end = min(start + _XOR_BLOCK, len(data))
-        block = (int.from_bytes(view_data[start:end], "little")
-                 ^ int.from_bytes(view_key[start:end], "little"))
-        out[start:end] = block.to_bytes(end - start, "little")
-    return bytes(out)
+def _realign(previous: bytes, length: int) -> bytes:
+    """``previous`` cut or zero-padded at the front to ``length`` bytes.
+    Payloads end in the fixed-size memory image, so tail alignment keeps
+    its pages in place when the header in front of it changes length."""
+    if len(previous) >= length:
+        return previous[len(previous) - length:]
+    return bytes(length - len(previous)) + previous
 
 
 def encode_checkpoints(records: Sequence[CheckpointRecord]) -> bytes:
-    """Serialize checkpoint records (sorted by position) to the packed
-    delta-encoded section."""
+    """Serialize checkpoint records (sorted by position) to the
+    page-sparse section."""
     ordered = sorted(records, key=lambda record: record.position)
     out = bytearray(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                       0, 0, len(ordered)))
     previous = b""
     for record in ordered:
-        delta = _xor_bytes(record.payload, previous)
-        flags = _CKPT_FLAG_DELTA if previous else 0
-        compressed = zlib.compress(delta, 6)
-        out += _CKPT_ENTRY.pack(record.position, len(record.payload),
-                                len(compressed), flags,
-                                bytes.fromhex(record.digest))
-        out += compressed
-        previous = record.payload
+        payload = record.payload
+        head = len(payload) % CHECKPOINT_PAGE
+        base = _realign(previous, len(payload))
+        # bytes slices compare with memcmp; memoryview slices would
+        # compare element by element, an order of magnitude slower
+        starts = range(head, len(payload), CHECKPOINT_PAGE)
+        changed = [index for index, start in enumerate(starts)
+                   if payload[start:start + CHECKPOINT_PAGE]
+                   != base[start:start + CHECKPOINT_PAGE]]
+        body = [_CKPT_BODY.pack(record.position, len(payload), len(changed)),
+                struct.pack(f"<{len(changed)}I", *changed), payload[:head]]
+        body += (payload[starts[index]:starts[index] + CHECKPOINT_PAGE]
+                 for index in changed)
+        stored = zlib.compress(b"".join(body), 6)
+        out += _CKPT_RECORD.pack(len(stored), bytes.fromhex(record.digest))
+        out += stored
+        previous = payload
     return bytes(out)
+
+
+def _inflate(inflater, data: bytes, size: int, where: str) -> bytes:
+    """At most ``size`` more bytes of a record body: ``max_length`` bounds
+    what a corrupt stream can make the decoder allocate."""
+    try:
+        return inflater.decompress(data, size) if size else b""
+    except zlib.error as exc:
+        raise LogFormatError(f"{where}: corrupt record body: {exc}") from exc
+
+
+def _decode_record(stored: bytes, previous: bytes,
+                   where: str) -> tuple[int, bytes]:
+    """One record body -> (position, payload patched onto ``previous``)."""
+    inflater = zlib.decompressobj()
+    fixed = _inflate(inflater, stored, _CKPT_BODY.size, where)
+    if len(fixed) != _CKPT_BODY.size:
+        raise LogFormatError(f"{where}: record body truncated")
+    position, raw_len, count = _CKPT_BODY.unpack(fixed)
+    head, pages = raw_len % CHECKPOINT_PAGE, raw_len // CHECKPOINT_PAGE
+    if count > pages:
+        raise LogFormatError(
+            f"{where}: {count} changed pages in a {pages}-page payload")
+    size = 4 * count + head + count * CHECKPOINT_PAGE
+    rest = _inflate(inflater, inflater.unconsumed_tail, size, where)
+    # the stream must end exactly here, its checksum verified
+    if len(rest) != size or _inflate(inflater, inflater.unconsumed_tail, 1,
+                                     where) \
+            or not inflater.eof or inflater.unused_data:
+        raise LogFormatError(f"{where}: record body is not the "
+                             f"{_CKPT_BODY.size + size} bytes it declares")
+    indices = struct.unpack_from(f"<{count}I", rest)
+    if any(a >= b for a, b in zip(indices, indices[1:])) \
+            or (indices and indices[-1] >= pages):
+        raise LogFormatError(
+            f"{where}: page indices not strictly increasing below {pages}")
+    image = bytearray(_realign(previous, raw_len))
+    view = memoryview(rest)
+    cursor = 4 * count + head
+    image[:head] = view[4 * count:cursor]
+    for index in indices:
+        start = head + index * CHECKPOINT_PAGE
+        image[start:start + CHECKPOINT_PAGE] = \
+            view[cursor:cursor + CHECKPOINT_PAGE]
+        cursor += CHECKPOINT_PAGE
+    return position, bytes(image)
 
 
 def decode_checkpoints(blob: bytes) -> list[CheckpointRecord]:
@@ -299,31 +338,21 @@ def decode_checkpoints(blob: bytes) -> list[CheckpointRecord]:
     records: list[CheckpointRecord] = []
     offset = _CKPT_HEADER.size
     previous = b""
-    for _ in range(count):
-        if offset + _CKPT_ENTRY.size > len(blob):
-            raise LogFormatError("checkpoint section truncated in entry header")
-        position, raw_len, comp_len, flags, digest_bytes = \
-            _CKPT_ENTRY.unpack_from(blob, offset)
-        offset += _CKPT_ENTRY.size
-        if offset + comp_len > len(blob):
-            raise LogFormatError("checkpoint section truncated in payload")
-        try:
-            delta = zlib.decompress(blob[offset:offset + comp_len])
-        except zlib.error as exc:
-            raise LogFormatError(
-                f"corrupt checkpoint payload at position {position}: "
-                f"{exc}") from exc
-        offset += comp_len
-        if len(delta) != raw_len:
-            raise LogFormatError(
-                f"checkpoint payload at position {position} is {len(delta)} "
-                f"bytes, expected {raw_len}")
-        payload = _xor_bytes(delta, previous) if flags & _CKPT_FLAG_DELTA \
-            else delta
+    for index in range(count):
+        where = f"checkpoint record {index} at byte {offset}"
+        if offset + _CKPT_RECORD.size > len(blob):
+            raise LogFormatError(f"{where}: truncated in record header")
+        stored_len, digest_bytes = _CKPT_RECORD.unpack_from(blob, offset)
+        offset += _CKPT_RECORD.size
+        if offset + stored_len > len(blob):
+            raise LogFormatError(f"{where}: truncated in record body")
+        position, payload = _decode_record(
+            blob[offset:offset + stored_len], previous, where)
+        offset += stored_len
         digest = digest_bytes.hex()
         if hashlib.sha256(payload).hexdigest() != digest:
             raise LogFormatError(
-                f"checkpoint digest mismatch at position {position}")
+                f"{where}: checkpoint digest mismatch at position {position}")
         records.append(CheckpointRecord(position=position, digest=digest,
                                         payload=payload))
         previous = payload

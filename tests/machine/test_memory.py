@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from repro.errors import MemoryAccessError
@@ -63,6 +65,15 @@ def test_digest_changes_with_content():
     before = mem.digest()
     mem.write_byte(0, 1)
     assert mem.digest() != before
+
+
+def test_digest_is_sha256_of_snapshot():
+    # the digest hashes the live buffer without copying it first; the
+    # value must stay the SHA-256 of the full image
+    mem = PhysicalMemory(4096)
+    mem.load_blob(100, b"quickrec")
+    mem.write_byte(4095, 0xFF)
+    assert mem.digest() == hashlib.sha256(mem.snapshot()).hexdigest()
 
 
 def test_digest_range_isolates_area():
