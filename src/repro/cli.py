@@ -291,6 +291,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         rows["jobs"] = report.jobs
         rows["intervals"] = len(report.intervals)
         rows["seams verified"] = report.seams_verified
+        rows["checkpoint restores"] = report.restores
         rows["parallel wall s"] = round(report.wall_s, 4)
         rows["speedup bound"] = round(report.speedup_bound, 2)
     print(render_kv(rows))

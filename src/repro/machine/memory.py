@@ -77,6 +77,11 @@ class PhysicalMemory:
     def snapshot(self) -> bytes:
         return bytes(self._data)
 
+    def equals(self, blob) -> bool:
+        """Whether memory holds exactly ``blob`` (any buffer; a memcmp,
+        no copy)."""
+        return self._data == blob
+
     def restore(self, blob: bytes) -> None:
         """Replace the full memory contents with a prior :meth:`snapshot`."""
         if len(blob) != self.size:

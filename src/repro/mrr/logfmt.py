@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..errors import LogFormatError
@@ -236,11 +236,27 @@ class CheckpointRecord:
     position: int
     digest: str
     payload: bytes
+    #: True once ``payload`` is known to hash to ``digest``. Not an
+    #: ``__init__`` field, so ``dataclasses.replace`` starts unverified.
+    digest_verified: bool = field(default=False, init=False, repr=False,
+                                  compare=False)
 
     @classmethod
     def for_payload(cls, position: int, payload: bytes) -> "CheckpointRecord":
         return cls(position=position, payload=payload,
-                   digest=hashlib.sha256(payload).hexdigest())
+                   digest=hashlib.sha256(payload).hexdigest())._verified()
+
+    def _verified(self) -> "CheckpointRecord":
+        object.__setattr__(self, "digest_verified", True)
+        return self
+
+    def digest_matches(self) -> bool:
+        """Whether ``payload`` hashes to ``digest``, hashing at most once
+        per record."""
+        if not self.digest_verified \
+                and hashlib.sha256(self.payload).hexdigest() == self.digest:
+            self._verified()
+        return self.digest_verified
 
 
 def _realign(previous: bytes, length: int) -> bytes:
@@ -354,7 +370,7 @@ def decode_checkpoints(blob: bytes) -> list[CheckpointRecord]:
             raise LogFormatError(
                 f"{where}: checkpoint digest mismatch at position {position}")
         records.append(CheckpointRecord(position=position, digest=digest,
-                                        payload=payload))
+                                        payload=payload)._verified())
         previous = payload
     if offset != len(blob):
         raise LogFormatError(

@@ -22,8 +22,8 @@ serially replaying the prefix — the property :func:`state_digest` makes
 checkable: equal digests iff equal states.
 
 Uses: O(interval) seek for inspection (restore the nearest checkpoint and
-step), and parallel replay (each worker restores its interval's checkpoint
-— see :mod:`repro.replay.parallel`).
+step), and parallel replay (each run restores its first checkpoint — see
+:mod:`repro.replay.parallel`).
 """
 
 from __future__ import annotations
@@ -42,10 +42,16 @@ from ..machine.core import Engine, EngineContext
 from ..mrr.logfmt import CheckpointRecord
 from ..telemetry import Telemetry
 from .pending import ReplayPort, WithheldStores
-from .replayer import Replayer, _ReplayThread
+from .replayer import Replayer, ReplayStats, _ReplayThread
 
 STATE_VERSION = 1
 _LEN = struct.Struct("<I")
+# The header shape restore relies on, checked before restoring anything.
+_HEADER_KINDS = {"threads": dict, "fd_names": dict, "write_segments": list,
+                 "exit_codes": dict, "stats": dict}
+_THREAD_KEYS = {"engine", "boundary_retired", "completed_chunks", "finished",
+                "events_consumed", "pending_copies", "pending_actions",
+                "sig_saved", "sig_handlers", "withheld"}
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,7 @@ class ReplayState:
 
     position: int
     header: dict
-    memory: bytes
+    memory: bytes | memoryview
 
 
 # -- capture -----------------------------------------------------------------
@@ -65,6 +71,12 @@ def capture_state(replayer: Replayer) -> ReplayState:
     Must be called between chunks (which is the only way the public
     ``step_chunk`` interface can leave the replayer).
     """
+    return ReplayState(position=replayer.position,
+                       header=_capture_header(replayer),
+                       memory=replayer.memory.snapshot())
+
+
+def _capture_header(replayer: Replayer) -> dict:
     event_totals: dict[int, int] = {}
     for event in replayer.recording.events:
         event_totals[event.rthread] = event_totals.get(event.rthread, 0) + 1
@@ -86,7 +98,7 @@ def capture_state(replayer: Replayer) -> ReplayState:
                              for signo, handler in ctx.sig_handlers.items()},
             "withheld": [list(entry) for entry in ctx.withheld.snapshot()],
         }
-    header = {
+    return {
         "version": STATE_VERSION,
         "position": replayer.position,
         "threads": threads,
@@ -98,8 +110,6 @@ def capture_state(replayer: Replayer) -> ReplayState:
                        for rthread, code in replayer.exit_codes.items()},
         "stats": replayer.stats.as_dict(),
     }
-    return ReplayState(position=replayer.position, header=header,
-                       memory=replayer.memory.snapshot())
 
 
 # -- wire format -------------------------------------------------------------
@@ -108,9 +118,12 @@ def encode_state(state: ReplayState) -> bytes:
     """Canonical payload bytes: length-prefixed canonical-JSON header
     followed by the raw memory image. Equal states encode identically, so
     the payload's SHA-256 doubles as a state-equality digest."""
-    header = json.dumps(state.header, sort_keys=True,
-                        separators=(",", ":")).encode()
-    return _LEN.pack(len(header)) + header + state.memory
+    return _encode_header(state.header) + state.memory
+
+
+def _encode_header(header: dict) -> bytes:
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return _LEN.pack(len(blob)) + blob
 
 
 def decode_state(payload: bytes) -> ReplayState:
@@ -124,16 +137,27 @@ def decode_state(payload: bytes) -> ReplayState:
         header = json.loads(payload[_LEN.size:end].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise LogFormatError(f"corrupt checkpoint header: {exc}") from exc
-    if header.get("version") != STATE_VERSION:
-        raise LogFormatError(
-            f"unsupported checkpoint state version {header.get('version')}")
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != STATE_VERSION:
+        raise LogFormatError(f"unsupported checkpoint state version {version}")
+    if not isinstance(header.get("position"), int):
+        raise LogFormatError("checkpoint header has no position")
     return ReplayState(position=header["position"], header=header,
-                       memory=payload[end:])
+                       memory=memoryview(payload)[end:])
 
 
 def state_digest(state: ReplayState) -> str:
-    """SHA-256 of the canonical encoding — the seam-verification digest."""
+    """SHA-256 of the canonical encoding — the state-equality digest."""
     return hashlib.sha256(encode_state(state)).hexdigest()
+
+
+def state_matches(replayer: Replayer, payload: bytes) -> bool:
+    """Whether ``replayer``'s state encodes to exactly ``payload`` — the
+    seam check. The header is compared as bytes and live memory by one
+    memcmp against the payload's tail: no snapshot, no concatenation."""
+    head = _encode_header(_capture_header(replayer))
+    return payload[:len(head)] == head \
+        and replayer.memory.equals(memoryview(payload)[len(head):])
 
 
 # -- restore -----------------------------------------------------------------
@@ -142,6 +166,10 @@ def restore_replayer(recording: Recording, state: ReplayState,
                      telemetry: Telemetry | None = None) -> Replayer:
     """A replayer positioned exactly as one that serially replayed
     ``state.position`` chunks of ``recording``."""
+    problem = _header_problem(state.header)
+    if problem is not None:
+        raise LogFormatError(f"malformed checkpoint header at position "
+                             f"{state.position}: {problem}")
     replayer = Replayer(recording, telemetry=telemetry)
     start = time.perf_counter()
     replayer.memory.restore(state.memory)
@@ -188,9 +216,7 @@ def restore_replayer(recording: Recording, state: ReplayState,
     replayer.exit_codes = {int(rthread): code
                            for rthread, code in
                            state.header["exit_codes"].items()}
-    stats = replayer.stats
-    for field, value in state.header["stats"].items():
-        setattr(stats, field, value)
+    replayer.stats = ReplayStats(**state.header["stats"])
     replayer._next_index = state.position
     if replayer.telemetry.enabled:
         metrics = replayer.telemetry.metrics
@@ -198,6 +224,21 @@ def restore_replayer(recording: Recording, state: ReplayState,
         metrics.histogram("replay.checkpoint_restore_us").observe(
             (time.perf_counter() - start) * 1e6)
     return replayer
+
+
+def _header_problem(header: dict) -> str | None:
+    """Why ``header`` does not have the shape restore needs, or None."""
+    for key, kind in _HEADER_KINDS.items():
+        if not isinstance(header.get(key), kind):
+            return f"{key!r} is not a {kind.__name__}"
+    for key, data in header["threads"].items():
+        if not key.isdigit() or not isinstance(data, dict):
+            return f"thread entry {key!r} is malformed"
+        if missing := _THREAD_KEYS - data.keys():
+            return f"thread {key} lacks {sorted(missing)}"
+    if unknown := header["stats"].keys() - ReplayStats().as_dict().keys():
+        return f"unknown stats {sorted(unknown)}"
+    return None
 
 
 # -- flight-window base ------------------------------------------------------

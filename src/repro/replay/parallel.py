@@ -1,25 +1,26 @@
 """Parallel interval replay: fan a chunk schedule out over checkpoints.
 
 The chunk schedule is split at embedded checkpoint boundaries into
-intervals. Each interval is independently replayable: a worker restores
-its starting checkpoint (interval 0 starts from a fresh replayer), replays
-only its chunks, and — this is what makes parallel replay self-validating —
-digests its final state and compares it against the *recorded* digest of
-the next checkpoint. A seam mismatch anywhere means the stitched result
-would not be bit-identical to a serial replay, and raises
-:class:`~repro.errors.ReplayDivergenceError` naming the seam.
+intervals, and the intervals into at most ``jobs`` contiguous *runs*
+balanced by instruction count. A run restores its first checkpoint once
+(run 0 restores nothing) and steps through its intervals, checking at
+every seam — this is what makes parallel replay self-validating — that
+its state equals the recorded checkpoint byte for byte. A mismatch means
+the stitched result would not be bit-identical to a serial replay, and
+raises :class:`~repro.errors.ReplayDivergenceError`.
 
 Because every checkpoint carries cumulative state (write segments, exit
-codes, statistics), the last interval's :class:`ReplayResult` *is* the
-whole run's result: stitching is verification, not reassembly. ``--jobs 1``
-and ``--jobs N`` therefore produce identical results by construction, and
-the test suite enforces it bit-for-bit.
+codes, statistics), the last run's :class:`ReplayResult` *is* the whole
+run's result: stitching is verification, not reassembly. ``--jobs 1`` and
+``--jobs N`` therefore produce identical results by construction, and the
+test suite enforces it bit-for-bit.
 
-Workers are plain ``multiprocessing`` processes. Under the default
-``fork`` start method they inherit the already-decoded recording from the
-parent (no pickling, no re-reading); under ``spawn`` each worker loads the
-bundle from disk, so a directory is required (an in-memory recording is
-spilled to a temporary bundle automatically).
+For ``jobs = N > 1`` the calling process replays run 0 itself while
+``N - 1`` ``multiprocessing`` pool workers replay the rest. Under the
+default ``fork`` start method they inherit the already-decoded recording
+from the parent (no pickling, no re-reading); under ``spawn`` each worker
+loads the bundle from disk, so a directory is required (an in-memory
+recording is spilled to a temporary bundle automatically).
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ import multiprocessing
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from ..capo.recording import Recording
 from ..errors import ReplayDivergenceError, ReproError
 from ..telemetry import NULL_TELEMETRY, Telemetry
-from .checkpoint import base_replayer, capture_state, decode_state, \
-    restore_replayer, state_digest
+from .checkpoint import replayer_at, state_matches
 from .replayer import ReplayResult
+from .schedule import build_schedule
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,8 @@ class IntervalOutcome:
     end: int
     units: int
     wall_s: float
-    end_digest: str | None
+    #: True when this interval began its run by restoring its checkpoint.
+    restored: bool
 
 
 @dataclass
@@ -68,6 +71,10 @@ class ParallelReplayReport:
     intervals: list[IntervalOutcome]
     seams_verified: int
     wall_s: float
+
+    @property
+    def restores(self) -> int:
+        return sum(o.restored for o in self.intervals)
 
     @property
     def speedup_bound(self) -> float:
@@ -94,46 +101,56 @@ def plan_intervals(recording: Recording) -> list[Interval]:
     return intervals
 
 
-def _replay_one(recording: Recording, interval: Interval,
-                is_last: bool) -> IntervalOutcome | tuple:
-    """Replay one interval; returns its outcome (plus the final
-    ReplayResult when it is the last interval)."""
+def plan_runs(recording: Recording, intervals: list[Interval],
+              jobs: int) -> list[list[Interval]]:
+    """At most ``jobs`` contiguous runs of ``intervals``, cut where the
+    running instruction count is nearest each ``k/jobs`` share."""
+    if jobs <= 1 or len(intervals) <= 1:
+        return [intervals]
+    icounts = [0, *accumulate(chunk.icount for chunk in
+                              build_schedule(recording.chunks))]
+    done = [icounts[interval.end] for interval in intervals]
+    cuts = sorted({min(range(1, len(intervals)),
+                       key=lambda b: abs(done[b - 1] - done[-1] * k / jobs))
+                   for k in range(1, jobs)})
+    return [intervals[a:b]
+            for a, b in zip([0, *cuts], [*cuts, len(intervals)])]
+
+
+def _replay_run(recording: Recording, run: list[Interval], is_last: bool,
+                ) -> tuple[list[IntervalOutcome], ReplayResult | None]:
+    """Replay one run: restore its first checkpoint (base state for run
+    0), step through every interval, check each seam."""
     start_wall = time.perf_counter()
-    if interval.start == 0:
-        # base_replayer, not a bare Replayer: a flight window's position
-        # 0 restores the embedded ring-base state.
-        replayer = base_replayer(recording)
-    else:
-        record = recording.checkpoint_at(interval.start)
-        if record is None:
-            raise ReproError(
-                f"no checkpoint at position {interval.start}")
-        replayer = restore_replayer(recording, decode_state(record.payload))
-    units_before = replayer.stats.units
-    while replayer.position < interval.end:
-        if replayer.step_chunk() is None:
-            raise ReplayDivergenceError(
-                f"schedule ended at {replayer.position} inside interval "
-                f"[{interval.start}, {interval.end})")
-    result = None
-    end_digest = None
-    if is_last:
-        result = replayer.result()
-    else:
-        end_digest = state_digest(capture_state(replayer))
-        if interval.expected_digest is not None \
-                and end_digest != interval.expected_digest:
-            raise ReplayDivergenceError(
-                f"seam mismatch at chunk {interval.end}: interval "
-                f"[{interval.start}, {interval.end}) reached state "
-                f"{end_digest[:12]}…, recording expects "
-                f"{interval.expected_digest[:12]}…")
-    outcome = IntervalOutcome(
-        index=interval.index, start=interval.start, end=interval.end,
-        units=replayer.stats.units - units_before,
-        wall_s=time.perf_counter() - start_wall,
-        end_digest=end_digest)
-    return (outcome, result) if is_last else outcome
+    restored = run[0].start > 0
+    # the checkpoint at the run's start, or for run 0 the base state (a
+    # flight window's embedded ring base, else a fresh replayer)
+    replayer = replayer_at(recording, run[0].start)
+    outcomes = []
+    for interval in run:
+        units_before = replayer.stats.units
+        while replayer.position < interval.end:
+            if replayer.step_chunk() is None:
+                raise ReplayDivergenceError(
+                    f"schedule ended at {replayer.position} inside interval "
+                    f"[{interval.start}, {interval.end})")
+        if interval.expected_digest is not None:
+            seam = recording.checkpoint_at(interval.end)
+            if not (seam is not None
+                    and seam.digest == interval.expected_digest
+                    and seam.digest_matches()
+                    and state_matches(replayer, seam.payload)):
+                raise ReplayDivergenceError(
+                    f"seam mismatch at chunk {interval.end}: interval "
+                    f"[{interval.start}, {interval.end}) does not reach "
+                    f"the recorded checkpoint")
+        now = time.perf_counter()
+        outcomes.append(IntervalOutcome(
+            index=interval.index, start=interval.start, end=interval.end,
+            units=replayer.stats.units - units_before,
+            wall_s=now - start_wall, restored=restored and interval is run[0]))
+        start_wall = now
+    return outcomes, replayer.result() if is_last else None
 
 
 # Recording shared with fork-started pool workers (set just before the
@@ -142,14 +159,14 @@ _WORKER_RECORDING: Recording | None = None
 _WORKER_DIRECTORY: str | None = None
 
 
-def _pool_replay_interval(spec: tuple):
-    interval, is_last = spec
+def _pool_replay_run(spec: tuple):
+    run, is_last = spec
     recording = _WORKER_RECORDING
     if recording is None:
         if _WORKER_DIRECTORY is None:
             raise ReproError("parallel replay worker has no recording source")
         recording = Recording.load(_WORKER_DIRECTORY)
-    return _replay_one(recording, interval, is_last)
+    return _replay_run(recording, run, is_last)
 
 
 def replay_parallel(recording: Recording | None = None,
@@ -160,10 +177,8 @@ def replay_parallel(recording: Recording | None = None,
     """Replay ``recording`` across its checkpoint intervals.
 
     ``jobs <= 1`` (or a checkpoint-free recording, or a daemonic caller
-    that cannot fork workers) executes the intervals serially in-process —
-    still restoring every checkpoint and verifying every seam, so the
-    checkpoint machinery is exercised identically; only the wall-clock
-    parallelism differs.
+    that cannot fork workers) is a single in-process run: it restores
+    nothing and still checks every seam.
     """
     if recording is None:
         if directory is None:
@@ -171,37 +186,25 @@ def replay_parallel(recording: Recording | None = None,
         recording = Recording.load(directory)
     telemetry = telemetry or NULL_TELEMETRY
     intervals = plan_intervals(recording)
-    is_last = {interval.index: interval.index == len(intervals) - 1
-               for interval in intervals}
-    effective_jobs = min(jobs, len(intervals))
     if multiprocessing.current_process().daemon:
-        effective_jobs = 1  # pool workers cannot have children
+        jobs = 1  # pool workers cannot have children
+    runs = plan_runs(recording, intervals, jobs)
 
     start_wall = time.perf_counter()
-    if effective_jobs <= 1:
-        raw = [_replay_one(recording, interval, is_last[interval.index])
-               for interval in intervals]
+    if len(runs) == 1:
+        raw = [_replay_run(recording, runs[0], True)]
     else:
-        raw = _fan_out(recording, directory, intervals, is_last,
-                       effective_jobs)
-
-    outcomes: list[IntervalOutcome] = []
-    result: ReplayResult | None = None
-    for item in raw:
-        if isinstance(item, tuple):
-            outcome, result = item
-            outcomes.append(outcome)
-        else:
-            outcomes.append(item)
-    if result is None:
-        raise ReproError("parallel replay produced no final result")
+        raw = _fan_out(recording, directory, runs)
+    outcomes = [outcome for run_outcomes, _ in raw
+                for outcome in run_outcomes]
+    result = raw[-1][1]
     report = ParallelReplayReport(
-        jobs=effective_jobs, intervals=outcomes,
-        seams_verified=sum(1 for o in outcomes if o.end_digest is not None),
+        jobs=len(runs), intervals=outcomes,
+        seams_verified=len(intervals) - 1,
         wall_s=time.perf_counter() - start_wall)
     if telemetry.enabled:
         metrics = telemetry.metrics
-        metrics.gauge("replay.parallel_jobs").set(effective_jobs)
+        metrics.gauge("replay.parallel_jobs").set(report.jobs)
         metrics.gauge("replay.parallel_intervals").set(len(outcomes))
         metrics.gauge("replay.parallel_seams_verified").set(
             report.seams_verified)
@@ -211,10 +214,9 @@ def replay_parallel(recording: Recording | None = None,
 
 
 def _fan_out(recording: Recording, directory: str | Path | None,
-             intervals: list[Interval], is_last: dict[int, bool],
-             jobs: int) -> list:
-    """Run the intervals over a process pool, largest first (greedy LPT
-    keeps the pool busy when intervals are uneven)."""
+             runs: list[list[Interval]]) -> list:
+    """Replay runs 1.. over a pool of ``len(runs) - 1`` workers while the
+    caller replays run 0, which needs no restore."""
     global _WORKER_RECORDING, _WORKER_DIRECTORY
     fork = multiprocessing.get_start_method(allow_none=False) == "fork"
     tmp = None
@@ -225,18 +227,14 @@ def _fan_out(recording: Recording, directory: str | Path | None,
             directory = tmp.name
         _WORKER_RECORDING = recording if fork else None
         _WORKER_DIRECTORY = str(directory) if directory is not None else None
-        specs = [(interval, is_last[interval.index])
-                 for interval in sorted(intervals,
-                                        key=lambda iv: iv.start - iv.end)]
-        with multiprocessing.Pool(processes=jobs) as pool:
-            raw = pool.map(_pool_replay_interval, specs, chunksize=1)
+        specs = [(run, index == len(runs) - 1)
+                 for index, run in enumerate(runs) if index]
+        with multiprocessing.Pool(processes=len(specs)) as pool:
+            rest = pool.map_async(_pool_replay_run, specs, chunksize=1)
+            first = _replay_run(recording, runs[0], False)
+            return [first, *rest.get()]
     finally:
         _WORKER_RECORDING = None
         _WORKER_DIRECTORY = None
         if tmp is not None:
             tmp.cleanup()
-    # Restore schedule order for the report.
-    def order_key(item):
-        outcome = item[0] if isinstance(item, tuple) else item
-        return outcome.start
-    return sorted(raw, key=order_key)

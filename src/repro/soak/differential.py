@@ -30,10 +30,11 @@ from .. import session
 from ..capo.input_log import decode_events, encode_events
 from ..capo.recording import Recording
 from ..config import LOG_VERSIONS
-from ..errors import ReproError
+from ..errors import ReplayDivergenceError, ReproError
 from ..machine import bus as _bus
 from ..machine import core as _core
 from ..mrr.logfmt import decode_chunks, encode_chunks
+from ..replay.replayer import ReplayResult
 from ..workloads.fuzz import FuzzCase, build_program
 from .variants import BASELINE, Variant, matrix_variants
 
@@ -102,6 +103,34 @@ def _injected_ops(case: FuzzCase) -> list[list[tuple]]:
     return [[*case.threads_ops[0], ("alu", "add", 1)], *case.threads_ops[1:]]
 
 
+def check_restores(recording: Recording, result: ReplayResult) -> None:
+    """Resume from every embedded checkpoint: restore it, require the
+    restored state to encode to its own payload, replay its interval and
+    require the next checkpoint's payload byte for byte (or, after the
+    last one, ``result``'s digest) — so a checkpoint that round-trips but
+    drops or rebuilds execution state wrongly cannot pass."""
+    from ..replay.checkpoint import decode_state, restore_replayer, \
+        state_matches
+    records = sorted(recording.checkpoints, key=lambda r: r.position)
+    for record, following in zip(records, [*records[1:], None]):
+        replayer = restore_replayer(recording, decode_state(record.payload))
+        if not state_matches(replayer, record.payload):
+            raise ReplayDivergenceError(
+                f"checkpoint at chunk {record.position} does not restore "
+                f"to its own payload")
+        end = following.position if following else len(recording.chunks)
+        while replayer.position < end and replayer.step_chunk() is not None:
+            pass
+        if following is None:
+            resumed = replayer.result().digest() == result.digest()
+        else:
+            resumed = state_matches(replayer, following.payload)
+        if not resumed:
+            raise ReplayDivergenceError(
+                f"replay resumed from the checkpoint at chunk "
+                f"{record.position} does not reach chunk {end}'s state")
+
+
 def run_variant(case: FuzzCase, variant: Variant, inject: str | None = None):
     """Record, replay and verify ``case`` under ``variant``.
 
@@ -118,9 +147,10 @@ def run_variant(case: FuzzCase, variant: Variant, inject: str | None = None):
     _bus.SNOOP_FILTER_DEFAULT = variant.snoop_filter
     try:
         if variant.checkpoint_every:
-            # Checkpointed path: embed checkpoints post-hoc, then replay
-            # interval by interval — restoring every checkpoint and
-            # verifying every seam digest — before the usual verification.
+            # Checkpointed path: embed checkpoints post-hoc, replay
+            # through every seam (byte-compared against the checkpoint),
+            # then resume from each checkpoint in turn, before the usual
+            # verification.
             from ..replay.parallel import replay_parallel
             outcome = session.record(program, seed=case.run_seed,
                                      policy=case.policy, config=config)
@@ -128,6 +158,7 @@ def run_variant(case: FuzzCase, variant: Variant, inject: str | None = None):
                                     variant.checkpoint_every)
             replayed, _report = replay_parallel(
                 recording=outcome.recording, jobs=1)
+            check_restores(outcome.recording, replayed)
             report = session.verify(outcome, replayed)
         else:
             outcome, _replayed, report = session.record_and_replay(

@@ -5,6 +5,7 @@ import pytest
 from repro import session, workloads
 from repro.capo.recording import Recording
 from repro.errors import LogFormatError, ReproError
+from repro.mrr.logfmt import CheckpointRecord
 from repro.replay.checkpoint import (
     build_checkpoints,
     capture_state,
@@ -13,6 +14,7 @@ from repro.replay.checkpoint import (
     replayer_at,
     restore_replayer,
     state_digest,
+    state_matches,
 )
 from repro.replay.replayer import Replayer
 
@@ -115,11 +117,82 @@ def test_decode_state_rejects_garbage():
         decode_state(b"\xff\xff\xff\xff")
 
 
+def _with_header(recording, record, edit):
+    """``recording`` with ``record``'s header changed by ``edit`` and the
+    payload re-digested, so only the replay-state layer can object."""
+    import dataclasses
+    state = decode_state(record.payload)
+    header = {**state.header, "threads": dict(state.header["threads"])}
+    edit(header)
+    crafted = CheckpointRecord.for_payload(
+        record.position,
+        encode_state(dataclasses.replace(state, header=header)))
+    return Recording(config=recording.config, program=recording.program,
+                     chunks=recording.chunks, events=recording.events,
+                     metadata=recording.metadata,
+                     checkpoints=[crafted if r is record else r
+                                  for r in recording.checkpoints])
+
+
+def _drop_engine(header):
+    key = min(header["threads"], key=int)
+    header["threads"][key] = {
+        field: value for field, value in header["threads"][key].items()
+        if field != "engine"}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: header.pop("threads"),
+    _drop_engine,
+    lambda header: header.update(stats=[1, 2]),
+    lambda header: header["stats"].update(bogus=1),
+], ids=["no-threads", "no-engine", "stats-not-a-dict", "unknown-stat"])
+def test_malformed_header_is_a_typed_error(recording, edit):
+    record = recording.checkpoints[1]
+    crafted = _with_header(recording, record, edit)
+    with pytest.raises(LogFormatError, match=f"position {record.position}"):
+        replayer_at(crafted, record.position + 1)
+
+
+def test_decoded_memory_is_a_view_of_the_payload(recording):
+    record = recording.checkpoints[0]
+    memory = decode_state(record.payload).memory
+    assert isinstance(memory, memoryview)
+    assert memory.obj is record.payload
+
+
+def test_state_matches_is_byte_equality(recording):
+    record = recording.checkpoints[0]
+    replayer = restore_replayer(recording, decode_state(record.payload))
+    assert state_matches(replayer, record.payload)
+    flipped = bytearray(record.payload)
+    flipped[-1] ^= 1
+    assert not state_matches(replayer, bytes(flipped))
+    assert not state_matches(replayer, record.payload + b"\x00")
+    other = recording.checkpoints[1].payload
+    assert not state_matches(replayer, other)
+
+
+def test_digest_binding_is_checked_once_and_not_inherited(recording):
+    import dataclasses
+    record = recording.checkpoints[0]
+    assert record.digest_verified  # built by for_payload
+    copied = dataclasses.replace(record)
+    assert not copied.digest_verified  # must be re-hashed
+    assert copied == record
+    assert copied.digest_matches() and copied.digest_verified
+    forged = dataclasses.replace(record, digest="0" * 64)
+    assert not forged.digest_matches()
+    assert not forged.digest_verified
+
+
 def test_checkpoints_survive_save_load(recording, tmp_path):
     directory = recording.save(tmp_path / "rec")
     assert (directory / "checkpoints.bin").exists()
     loaded = Recording.load(directory)
     assert loaded.checkpoints == recording.checkpoints
+    # the section decoder hashed every payload already
+    assert all(record.digest_verified for record in loaded.checkpoints)
 
 
 def test_checkpoint_count_mismatch_detected(recording, tmp_path):

@@ -1,15 +1,19 @@
 """Parallel interval replay: partitioning, seam verification, identity."""
 
 import dataclasses
+import hashlib
+import multiprocessing
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import session, workloads
 from repro.capo.recording import Recording
 from repro.errors import ReplayDivergenceError, ReproError
 from repro.mrr.logfmt import CheckpointRecord
 from repro.replay.checkpoint import build_checkpoints
-from repro.replay.parallel import plan_intervals, replay_parallel
+from repro.replay import checkpoint
+from repro.replay.parallel import plan_intervals, plan_runs, replay_parallel
 from repro.replay.replayer import Replayer
 
 
@@ -132,3 +136,88 @@ def test_report_speedup_bound(recording):
     largest = max(o.units for o in report.intervals)
     total = sum(o.units for o in report.intervals)
     assert report.speedup_bound == pytest.approx(total / largest)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jobs=st.integers(min_value=1, max_value=12), data=st.data())
+def test_runs_are_contiguous_ordered_and_at_most_jobs(recording, jobs, data):
+    kept = data.draw(st.lists(st.sampled_from(recording.checkpoints),
+                              unique_by=lambda record: record.position))
+    rec = Recording(config=recording.config, program=recording.program,
+                    chunks=recording.chunks, events=recording.events,
+                    metadata=recording.metadata, checkpoints=kept)
+    intervals = plan_intervals(rec)
+    runs = plan_runs(rec, intervals, jobs)
+    assert 1 <= len(runs) <= jobs
+    assert all(runs)
+    assert runs[0][0].start == 0
+    assert [iv for run in runs for iv in run] == intervals
+
+
+def _counting(monkeypatch, module, name, counter):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        with counter.get_lock():
+            counter.value += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_single_run_restores_nothing_and_hashes_no_full_state(
+        recording, serial_digest, monkeypatch):
+    """jobs=1 steps straight through every seam: no checkpoint restore,
+    and no SHA-256 over a whole state (header plus memory image) — the
+    only full-memory hash left is the result's own digest."""
+    restores = multiprocessing.Value("i", 0)
+    _counting(monkeypatch, checkpoint, "restore_replayer", restores)
+    memory_bytes = recording.config.machine.memory_bytes
+    full_state_hashes = []
+    real_sha256 = hashlib.sha256
+
+    def sha256(data=b"", **kwargs):
+        if len(data) > memory_bytes:
+            full_state_hashes.append(len(data))
+        return real_sha256(data, **kwargs)
+    monkeypatch.setattr(hashlib, "sha256", sha256)
+    result, report = replay_parallel(recording=recording, jobs=1)
+    assert result.digest() == serial_digest
+    assert restores.value == 0 and report.restores == 0
+    assert full_state_hashes == []
+    assert report.seams_verified == len(report.intervals) - 1
+
+
+def test_pool_restores_once_per_run_after_the_first(recording, monkeypatch):
+    # a shared counter: forked workers increment the parent's copy
+    restores = multiprocessing.Value("i", 0)
+    _counting(monkeypatch, checkpoint, "restore_replayer", restores)
+    _result, report = replay_parallel(recording=recording, jobs=3)
+    runs = plan_runs(recording, plan_intervals(recording), 3)
+    assert report.jobs == len(runs) > 1
+    assert report.restores == len(runs) - 1
+    if multiprocessing.get_start_method() == "fork":
+        assert restores.value == len(runs) - 1
+    starts = {run[0].index for run in runs[1:]}
+    assert [o.restored for o in report.intervals] == \
+        [o.index in starts for o in report.intervals]
+
+
+def test_tampered_payload_inside_run_zero_caught_at_its_seam(recording):
+    """Run 0 never restores, so a corrupt payload at one of its seams is
+    never loaded — the seam's byte comparison alone must catch it."""
+    runs = plan_runs(recording, plan_intervals(recording), 2)
+    assert len(runs[0]) >= 2
+    position = runs[0][0].end
+    victim = recording.checkpoint_at(position)
+    corrupt = bytearray(victim.payload)
+    corrupt[-1] ^= 0xFF
+    tampered = [
+        CheckpointRecord.for_payload(position, bytes(corrupt))
+        if record is victim else record
+        for record in recording.checkpoints]
+    broken = Recording(config=recording.config, program=recording.program,
+                       chunks=recording.chunks, events=recording.events,
+                       metadata=recording.metadata, checkpoints=tampered)
+    with pytest.raises(ReplayDivergenceError,
+                       match=f"seam mismatch at chunk {position}"):
+        replay_parallel(recording=broken, jobs=2)

@@ -156,3 +156,68 @@ def test_roundtrip_check_covers_every_log_version(monkeypatch):
     assert [f.detail for f in failures] == [
         "events v1: entries changed across the round trip",
         "events v2: entries changed across the round trip"]
+
+
+def _checkpointed_counter():
+    from repro import session, workloads
+
+    program, inputs = workloads.build("counter", threads=2)
+    outcome = session.record(program, seed=3, input_files=inputs)
+    session.add_checkpoints(outcome.recording, 8)
+    return outcome.recording, session.replay_recording(outcome.recording)
+
+
+def _with_state(recording, record, state):
+    from repro.capo.recording import Recording
+    from repro.mrr.logfmt import CheckpointRecord
+    from repro.replay.checkpoint import encode_state
+
+    crafted = CheckpointRecord.for_payload(record.position,
+                                           encode_state(state))
+    return Recording(
+        config=recording.config, program=recording.program,
+        chunks=recording.chunks, events=recording.events,
+        metadata=recording.metadata,
+        checkpoints=[crafted if r is record else r
+                     for r in recording.checkpoints])
+
+
+def test_check_restores_catches_state_that_restore_drops():
+    """Header state that restore ignores (here an extra top-level key)
+    does not encode back to the checkpoint's own payload."""
+    from repro.errors import ReplayDivergenceError
+    from repro.replay.checkpoint import decode_state
+
+    rec, result = _checkpointed_counter()
+    differential.check_restores(rec, result)
+    victim = rec.checkpoints[0]
+    state = decode_state(victim.payload)
+    extra = dataclasses.replace(state, header={**state.header, "extra": 1})
+    with pytest.raises(ReplayDivergenceError,
+                       match=f"chunk {victim.position} does not restore"):
+        differential.check_restores(_with_state(rec, victim, extra), result)
+
+
+def test_check_restores_resumes_from_every_checkpoint():
+    """A checkpoint that round-trips through restore but holds the wrong
+    state (a flipped memory byte) is caught once replay resumes from it
+    and reaches the next checkpoint — a round trip alone cannot see it."""
+    from repro.errors import ReplayDivergenceError
+    from repro.replay.checkpoint import decode_state, restore_replayer, \
+        state_matches
+
+    rec, result = _checkpointed_counter()
+    assert len(rec.checkpoints) >= 2
+    victim = rec.checkpoints[0]
+    state = decode_state(victim.payload)
+    memory = bytearray(state.memory)
+    memory[-1] ^= 0xFF
+    flipped = dataclasses.replace(state, memory=bytes(memory))
+    crafted = _with_state(rec, victim, flipped)
+    restored = crafted.checkpoints[0]
+    assert state_matches(restore_replayer(crafted, flipped),
+                         restored.payload)
+    with pytest.raises(ReplayDivergenceError,
+                       match=f"resumed from the checkpoint at chunk "
+                             f"{victim.position}"):
+        differential.check_restores(crafted, result)

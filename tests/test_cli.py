@@ -266,6 +266,20 @@ def test_analyze_reports_seeded_race_with_artifacts(tmp_path, capsys):
     assert "thread states" in capsys.readouterr().out
 
 
+def test_replay_jobs_reports_checkpoint_restores(tmp_path, capsys):
+    import re
+
+    rec_dir = str(tmp_path / "rec")
+    assert main(["record", "racer", "--seed", "11", "-o", rec_dir,
+                 "--checkpoint-every", "8"]) == 0
+    capsys.readouterr()
+    assert main(["replay", rec_dir, "--jobs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "replay verified" in out
+    # run 0 starts from the base state; the second run restores once
+    assert re.search(r"checkpoint restores\s+1\n", out)
+
+
 def test_analyze_window_flags(tmp_path, capsys):
     rec_dir = str(tmp_path / "rec")
     assert main(["record", "racer", "--seed", "11", "-o", rec_dir,
