@@ -1,8 +1,9 @@
 """Capo3: the software stack that manages the recording hardware.
 
 The Replay Sphere Manager (RSM) sits at every kernel crossing: it
-terminates chunks on kernel entry, virtualizes the MRR (signatures and the
-Lamport clock register) across context switches, logs every program input
+terminates chunks on kernel entry, virtualizes the MRR across context
+switches (the chunk a thread leaves the core with is already closed, so
+no signature state follows it), logs every program input
 (syscall results, copy-to-user payloads, trapped nondeterministic
 instructions, signal deliveries), and drains the per-core chunk buffers
 into the log. A finished run is packaged as a :class:`Recording` — the

@@ -23,7 +23,6 @@ from ..errors import RecordingError
 from ..machine.machine import Core, Machine
 from ..mrr.chunk import ChunkEntry, Reason
 from ..mrr.recorder import MemoryRaceRecorder
-from ..mrr.signature import BloomSignature
 from ..telemetry import get_logger
 from .chunk_buffer import ChunkBuffer
 from .events import (
@@ -83,22 +82,12 @@ class ReplaySphereManager:
         self.mode = mode
         self.sphere = ReplaySphere()
         self.chunk_log: list[ChunkEntry] = []
-        # Per-core chunk streams: each core's entries in emission order
-        # (strictly timestamp-monotonic per stream, since the order clock
-        # is global). Additional references only — ``chunk_log`` keeps the
-        # CBUF drain order the digests and codecs are defined over; a
-        # k-way merge of these streams reconstructs the global replay
-        # schedule without the shared log (replay.schedule.
-        # merge_core_streams).
-        self.core_chunk_logs: list[list[ChunkEntry]] = [
-            [] for _ in machine.cores]
         self.events: list[InputEvent] = []
         # Bounded-retention mode: when a FlightRing is attached (see
         # attach_flight), the ring becomes the retention authority —
         # chunks and events flow into it instead of the unbounded
-        # chunk_log/core_chunk_logs/events lists, and per-core order logs
-        # are trimmed at each eviction. Execution, logging *content* and
-        # every cycle charge are identical either way.
+        # chunk_log/events lists. Execution, logging *content* and every
+        # cycle charge are identical either way.
         self.flight = None
         self.stats = RSMStats()
         self.telemetry = machine.telemetry
@@ -119,14 +108,6 @@ class ReplaySphereManager:
         # carries them (and, in batched mode, re-copies are charged at the
         # cheaper duplicate rate).
         self._payload_pool: dict[bytes, bytes] = {}
-        # Per-rthread stash of signature state across deschedules (the
-        # virtualization path): captured at kernel entry, folded back in at
-        # dispatch via BloomSignature.merge. Every deschedule is preceded by
-        # a kernel entry, whose terminate() empties the live signatures, so
-        # the stash carries no bits today — the merge is a bit-identical
-        # no-op that keeps the protocol explicit (and conservative if the
-        # terminate-before-undispatch sequencing ever changes).
-        self._virt_sigs: dict[int, tuple[BloomSignature, BloomSignature]] = {}
         self._cbufs: list[ChunkBuffer] = []
         self.recorders: list[MemoryRaceRecorder] = []
         for core in machine.cores:
@@ -155,41 +136,25 @@ class ReplaySphereManager:
 
     # -- wiring ---------------------------------------------------------------
 
-    def order_logs(self) -> list:
-        """Each core's :class:`~repro.mrr.orderlog.CoreOrderLog`, indexed
-        by core id."""
-        return [recorder.order_log for recorder in self.recorders]
-
     def attach_flight(self, ring) -> None:
         """Switch to bounded retention through ``ring``
         (:class:`~repro.flight.ring.FlightRing`). Must be attached before
-        the run starts; evictions trim the per-core order logs to the
-        retained window."""
+        the run starts."""
         self.flight = ring
-
-        def trim_order_logs(base_timestamp: int) -> None:
-            for recorder in self.recorders:
-                recorder.order_log.trim_before(base_timestamp)
-
-        ring.on_evict = trim_order_logs
 
     def _make_sink(self, core: Core, cbuf: ChunkBuffer):
         cost = self.machine.cost
-        core_stream = self.core_chunk_logs[core.core_id]
 
         def sink(entry: ChunkEntry) -> None:
             self.sphere.note_chunk(entry.rthread)
             self.stats.chunks += 1
             core.cycles += cost.cbuf_entry_write
             self.stats.cycles_cbuf_write += cost.cbuf_entry_write
-            flight = self.flight
-            if flight is None:
-                core_stream.append(entry)
-            else:
+            if self.flight is not None:
                 # Sink calls happen at termination under the fabric's
                 # serialized order clock, so ring arrivals are already in
                 # global schedule order (the CBUF drain below is not).
-                flight.push_chunk(entry)
+                self.flight.push_chunk(entry)
             cbuf.append(entry)
 
         return sink
@@ -235,22 +200,8 @@ class ReplaySphereManager:
 
     # -- kernel crossings ------------------------------------------------------------
 
-    def _virt_slot(self, rthread: int) -> tuple[BloomSignature, BloomSignature]:
-        slot = self._virt_sigs.get(rthread)
-        if slot is None:
-            mrr = self.config.mrr
-            slot = (BloomSignature(mrr.signature_bits, mrr.signature_hashes),
-                    BloomSignature(mrr.signature_bits, mrr.signature_hashes))
-            self._virt_sigs[rthread] = slot
-        return slot
-
     def on_kernel_entry(self, core: Core, task, reason: str) -> None:
         core.recorder.terminate(reason)
-        stash_read, stash_write = self._virt_slot(task.rthread)
-        stash_read.clear()
-        stash_write.clear()
-        stash_read.merge(core.recorder.read_sig)
-        stash_write.merge(core.recorder.write_sig)
         if self.mode != MODE_FULL:
             return
         cost = self.machine.cost
@@ -261,15 +212,8 @@ class ReplaySphereManager:
             core.cycles += cost.rsm_nondet_interpose
             self.stats.cycles_interpose += cost.rsm_nondet_interpose
 
-    def on_kernel_exit(self, core: Core, task) -> None:
-        """Hook for symmetry with on_kernel_entry (no recording work is
-        needed at kernel exit: timestamps come from the global clock)."""
-
     def on_dispatch(self, core: Core, task) -> None:
         core.recorder.set_thread(task.rthread)
-        slot = self._virt_sigs.get(task.rthread)
-        if slot is not None:
-            core.recorder.absorb_signatures(*slot)
 
     def on_undispatch(self, core: Core, task) -> None:
         core.recorder.clear_thread()

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 from ..capo.events import InputEvent
 from ..capo.recording import FLIGHT_META_KEY, Recording
@@ -56,8 +56,7 @@ class FlightRing:
     def __init__(self, config: SimConfig, program: Program, *,
                  window: int | None = None, epoch_chunks: int | None = None,
                  metadata: dict[str, Any] | None = None,
-                 telemetry: Telemetry | None = None,
-                 on_evict: Callable[[int], None] | None = None):
+                 telemetry: Telemetry | None = None):
         if window is None:
             window = config.capo.flight_window
         if epoch_chunks is None:
@@ -70,9 +69,6 @@ class FlightRing:
         self.program = program
         self.window = window
         self.epoch_chunks = epoch_chunks
-        #: Called after each eviction with the timestamp of the oldest
-        #: retained chunk (the RSM trims per-core order logs below it).
-        self.on_evict = on_evict
         # Pre-run metadata the shadow replayer needs at construction time
         # (main stack pointer / sphere region for multi-process runs);
         # final verification metadata merges in at materialize().
@@ -82,7 +78,7 @@ class FlightRing:
         # The shadow consumes the evicted schedule prefix; its event
         # deques are shared with push_event, so events arrive
         # incrementally and unconsumed ones are exactly the window's.
-        self._shadow = Replayer(view, schedule=[])
+        self._shadow = Replayer(view)
         self._epochs: deque[list[ChunkEntry]] = deque()
         self._open: list[ChunkEntry] = []
         self.evictions = 0
@@ -154,8 +150,6 @@ class FlightRing:
                 "flight.evict", cat="flight",
                 args={"base_position": shadow.position,
                       "chunks_retained": self.chunks_retained})
-        if self.on_evict is not None:
-            self.on_evict(self._epochs[0][0].timestamp)
 
     # -- materialization ------------------------------------------------------
 

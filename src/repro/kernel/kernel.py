@@ -350,11 +350,6 @@ class Kernel:
         if self.rsm is not None and task.recorded:
             self.rsm.on_kernel_entry(core, task, reason)
 
-    def _kernel_exit(self, core: Core, task: Task) -> None:
-        if self.rsm is not None and task.recorded:
-            self.rsm.on_kernel_exit(core, task)
-        self._deliver_signal(core, task)
-
     def _handle_syscall(self, core: Core, task: Task) -> None:
         engine = core.engine
         sysno = engine.regs[RAX]
@@ -382,7 +377,7 @@ class Kernel:
                 self.stats.copy_to_user_bytes += len(data)
             if self.rsm is not None and task.recorded:
                 self.rsm.log_syscall(task, sysno, action.retval, action.copies)
-            self._kernel_exit(core, task)
+            self._deliver_signal(core, task)
             if action.reschedule:
                 task.units_in_quantum = task.quantum_limit
         elif isinstance(action, Block):
@@ -401,7 +396,7 @@ class Kernel:
             engine.restore_context(task.sig_saved.pop())
             if self.rsm is not None and task.recorded:
                 self.rsm.log_sigreturn(task)
-            self._kernel_exit(core, task)
+            self._deliver_signal(core, task)
         else:  # pragma: no cover - exhaustiveness guard
             raise KernelError(f"unknown syscall action {action!r}")
 
@@ -426,7 +421,7 @@ class Kernel:
         engine.complete_trap(instr.ops[0], value)
         if self.rsm is not None and task.recorded:
             self.rsm.log_nondet(task, instr.mnemonic, value)
-        self._kernel_exit(core, task)
+        self._deliver_signal(core, task)
 
     # -- scheduling -------------------------------------------------------------------
 

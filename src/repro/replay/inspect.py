@@ -11,26 +11,15 @@ travel by re-execution, exactly how the paper frames RnR-based debugging.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable
 
 from ..capo.recording import Recording
 from ..errors import ReproError
 from ..mrr.chunk import ChunkEntry
-from .replayer import Replayer
-
-
-def _clone_replayer(replayer: Replayer) -> Replayer:
-    """Deep-copy replay state while sharing the immutable recording,
-    program and schedule (checkpointing would be prohibitive otherwise)."""
-    memo = {
-        id(replayer.recording): replayer.recording,
-        id(replayer.recording.program): replayer.recording.program,
-        id(replayer.schedule): replayer.schedule,
-        id(replayer.config): replayer.config,
-    }
-    return copy.deepcopy(replayer, memo)
+from ..mrr.logfmt import CheckpointRecord
+from .checkpoint import base_replayer, capture_state, decode_state, \
+    encode_state, restore_replayer
 
 
 @dataclass(frozen=True)
@@ -60,22 +49,22 @@ class WatchHit:
 class ReplayInspector:
     """Drive a replay interactively over a :class:`Recording`.
 
-    With ``checkpoint_every`` set, the inspector snapshots replay state
-    periodically while moving forward, and :meth:`seek` can then travel
-    *backwards* by restoring the nearest earlier checkpoint and re-stepping
-    — the standard RnR debugger implementation of reverse execution.
+    With ``checkpoint_every`` set, the inspector captures a checkpoint
+    record (the same format the bundle embeds) periodically while moving
+    forward, and :meth:`seek` can then travel *backwards* by restoring the
+    nearest earlier checkpoint and re-stepping — the standard RnR debugger
+    implementation of reverse execution.
     """
 
     def __init__(self, recording: Recording, checkpoint_every: int = 0):
         if checkpoint_every < 0:
             raise ReproError("checkpoint_every must be >= 0")
         self.recording = recording
-        self._replayer = self._fresh_replayer()
+        self._replayer = base_replayer(recording)
         self._checkpoint_every = checkpoint_every
-        # position -> frozen Replayer snapshot (position 0 is implicit:
-        # a fresh Replayer). Checkpoints *embedded* in the recording are
-        # used as additional seek bases without being materialized here.
-        self._checkpoints: dict[int, Replayer] = {}
+        # position -> checkpoint captured by this inspector. Checkpoints
+        # embedded in the recording are additional seek bases.
+        self._checkpoints: dict[int, CheckpointRecord] = {}
 
     def _maybe_checkpoint(self) -> None:
         if not self._checkpoint_every:
@@ -83,47 +72,35 @@ class ReplayInspector:
         position = self._replayer.position
         if position % self._checkpoint_every == 0 \
                 and position not in self._checkpoints:
-            self._checkpoints[position] = _clone_replayer(self._replayer)
+            self._checkpoints[position] = CheckpointRecord.for_payload(
+                position, encode_state(capture_state(self._replayer)))
 
     def seek(self, index: int) -> None:
         """Move to ``position == index``, travelling backwards if needed.
 
-        Backward seeks restore the nearest checkpoint at or before
-        ``index`` — either one of this inspector's in-memory snapshots or
-        one embedded in the recording, whichever is closer — or replay
-        from scratch, then re-step. Far-forward seeks likewise jump over
-        an embedded checkpoint instead of stepping the whole way. Replay
-        determinism makes the restored states identical to the originals.
+        Restores the nearest checkpoint at or before ``index`` — one this
+        inspector captured or one embedded in the recording — when the
+        target lies behind the current position or that checkpoint lies
+        past it, then steps the rest. Replay determinism makes the
+        restored states identical to the originals.
         """
         if index < 0 or index > self.total_chunks:
             raise ReproError(f"seek target {index} outside [0, "
                              f"{self.total_chunks}]")
-        embedded = self.recording.nearest_checkpoint(index)
-        embedded_pos = embedded.position if embedded else 0
-        if index < self.position:
-            in_memory = max((p for p in self._checkpoints if p <= index),
-                            default=0)
-            if embedded_pos > in_memory:
-                self._replayer = self._restore_embedded(embedded)
-            elif in_memory:
-                self._replayer = _clone_replayer(self._checkpoints[in_memory])
+        base = max((record for record in (*self._checkpoints.values(),
+                                          *self.recording.checkpoints)
+                    if record.position <= index),
+                   key=lambda record: record.position, default=None)
+        base_position = base.position if base is not None else 0
+        if index < self.position or base_position > self.position:
+            if base_position == 0:
+                # base_replayer: a flight window's position 0 is its
+                # embedded ring-base state, not a fresh Replayer.
+                self._replayer = base_replayer(self.recording)
             else:
-                self._replayer = self._fresh_replayer()
-        elif embedded_pos > self.position:
-            self._replayer = self._restore_embedded(embedded)
+                self._replayer = restore_replayer(
+                    self.recording, decode_state(base.payload))
         self.run_to_index(index)
-
-    def _fresh_replayer(self) -> Replayer:
-        # base_replayer: a flight window's position 0 is its embedded
-        # ring-base state, not a fresh Replayer.
-        from .checkpoint import base_replayer
-        return base_replayer(self.recording)
-
-    def _restore_embedded(self, record) -> Replayer:
-        from .checkpoint import decode_state, restore_replayer
-        if record.position == 0:
-            return self._fresh_replayer()
-        return restore_replayer(self.recording, decode_state(record.payload))
 
     @property
     def checkpoints(self) -> list[int]:

@@ -133,21 +133,14 @@ class Replayer:
     """Drives a full replay of one recording."""
 
     def __init__(self, recording: Recording,
-                 telemetry: Telemetry | None = None,
-                 schedule: list | None = None):
+                 telemetry: Telemetry | None = None):
         self.recording = recording
         self.config = recording.config
         self.telemetry = telemetry or NULL_TELEMETRY
         self.memory = PhysicalMemory(self.config.machine.memory_bytes)
         self.memory.load_blob(recording.program.data_base,
                               recording.program.data)
-        # ``schedule`` lets a caller supply a pre-merged global order —
-        # e.g. merge_core_streams over per-core logs — instead of sorting
-        # the shared chunk log; it must contain the same chunks and is
-        # validated identically.
-        if schedule is None:
-            schedule = build_schedule(recording.chunks)
-        self.schedule = list(schedule)
+        self.schedule = build_schedule(recording.chunks)
         validate_schedule(self.schedule)
         self._events_by_thread: dict[int, deque[InputEvent]] = {}
         for event in recording.events:

@@ -73,12 +73,6 @@ class RunOutcome:
     recording: Recording | None = None
     # The run's telemetry (tracer + metrics); NULL_TELEMETRY when disabled.
     telemetry: Telemetry | None = None
-    # Per-core chunk streams and order logs (recording modes only): each
-    # core's chunks in emission order plus its CoreOrderLog of
-    # (seq, rthread, timestamp, pred_ts) records. Merging the streams
-    # reconstructs the global replay schedule without the shared log.
-    core_chunk_logs: list[list] | None = None
-    order_logs: list | None = None
 
     @property
     def instructions(self) -> int:
@@ -179,13 +173,9 @@ def simulate(program: Program, config: SimConfig | None = None,
 
     recording = None
     rsm_stats = None
-    core_chunk_logs = None
-    order_logs = None
     if rsm is not None:
         rsm.finalize()
         rsm_stats = rsm.stats.as_dict()
-        core_chunk_logs = rsm.core_chunk_logs
-        order_logs = rsm.order_logs()
     exit_codes = {tid: task.exit_code for tid, task in kernel.tasks.items()}
     outputs = kernel.vfs.written()
     sphere_outputs = kernel.vfs.written_recorded()
@@ -260,8 +250,6 @@ def simulate(program: Program, config: SimConfig | None = None,
         rsm_stats=rsm_stats,
         recording=recording,
         telemetry=telemetry,
-        core_chunk_logs=core_chunk_logs,
-        order_logs=order_logs,
     )
 
 

@@ -60,14 +60,6 @@ def test_stats_classify_transactions():
     assert bus.stats.transactions == 3
 
 
-def test_sequence_monotone():
-    bus, _caches = make_bus()
-    first = bus.sequence
-    bus.transaction(0, 0, is_write=False)
-    bus.transaction(1, 64, is_write=False)
-    assert bus.sequence == first + 2
-
-
 def test_snoopers_collect_victim_timestamps():
     bus, _caches = make_bus(cores=3)
 

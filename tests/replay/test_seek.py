@@ -4,6 +4,7 @@ import pytest
 
 from repro import session, workloads
 from repro.errors import ReproError
+from repro.replay.checkpoint import capture_state, replayer_at, state_digest
 from repro.replay.inspect import ReplayInspector
 
 
@@ -87,3 +88,22 @@ def test_checkpoint_isolation(recorded):
     inspector.run_to_index(400)   # plenty of mutation past the checkpoint
     inspector.seek(50)
     assert inspector.read_word("counter") == at_50
+
+
+@pytest.mark.parametrize("embedded_every", [0, 70])
+def test_backward_seek_state_matches_replayer_at(embedded_every):
+    """A seek lands on the exact replay state ``replayer_at`` reaches,
+    whether it restores the inspector's own checkpoints or the
+    recording's embedded ones."""
+    program, inputs = workloads.build("counter", threads=2)
+    recording = session.record(program, seed=4,
+                               input_files=inputs).recording
+    if embedded_every:
+        session.add_checkpoints(recording, embedded_every)
+    inspector = ReplayInspector(recording, checkpoint_every=25)
+    inspector.run_to_index(300)
+    for target in (160, 60, 145, 0, 230):
+        inspector.seek(target)
+        assert inspector.position == target
+        assert state_digest(capture_state(inspector._replayer)) == \
+            state_digest(capture_state(replayer_at(recording, target)))
