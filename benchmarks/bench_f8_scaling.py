@@ -13,7 +13,6 @@ import os
 
 from repro.analysis.report import render_table
 from repro.config import MachineConfig, SimConfig
-from repro.perf.bench import chunk_rate_per_kilo_instruction
 
 from conftest import BenchSuite, publish
 
@@ -21,6 +20,12 @@ CORE_COUNTS = tuple(
     int(cores) for cores in
     os.environ.get("REPRO_BENCH_F8_CORES", "8,16,32,64").split(","))
 NAMES = ("water", "barnes")
+
+
+def chunk_rate_per_kilo_instruction(chunks: int, instructions: int) -> float:
+    """Chunks produced per thousand recorded instructions: the log
+    production rate the ladder tracks."""
+    return 1000.0 * chunks / instructions if instructions else 0.0
 
 
 def machine_config(cores: int) -> SimConfig:

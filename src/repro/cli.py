@@ -18,7 +18,10 @@ Subcommands::
     quickrec analyze /tmp/rec             # HB graph + data-race forensics
     quickrec analyze /tmp/rec --at 40 --until 120 --trace races.json
     quickrec debug /tmp/rec --watch counter   # replay until a word changes
-    quickrec bench-all --quick            # simulation-rate perf trajectory
+    quickrec fuzz --count 40 --matrix     # differential soak campaign
+
+Benchmarks are not subcommands: ``python3 perfbench/run.py`` times the
+pipeline end to end, and ``benchmarks/`` regenerates the paper's figures.
 
 Exit codes: 0 success, 1 library error (:class:`~repro.errors.ReproError`
 or a failed verification), 2 usage error.
@@ -34,7 +37,6 @@ from pathlib import Path
 
 from . import __version__, session, workloads
 from .analysis import chunks as chunk_analysis
-from .perf import bench
 from .analysis.report import render_kv, render_metrics, render_table
 from .capo.recording import FLIGHT_META_KEY, Recording
 from .config import (
@@ -535,10 +537,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench_all(args: argparse.Namespace) -> int:
-    return bench.run(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quickrec",
@@ -711,12 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--trace", default=None, metavar="PATH",
                         help="write a Chrome trace of the campaign")
     p_fuzz.set_defaults(fn=_cmd_fuzz)
-
-    p_bench = sub.add_parser(
-        "bench-all", help="simulation-rate benchmarks with a perf "
-                          "trajectory (appends to BENCH_simrate.json)")
-    bench.add_args(p_bench)
-    p_bench.set_defaults(fn=_cmd_bench_all)
 
     return parser
 

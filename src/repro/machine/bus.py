@@ -122,10 +122,6 @@ class SnoopBus:
         """The conservative holder bitmask for ``line``."""
         return self._presence.get(line, self._all_mask)
 
-    def next_chunk_timestamp(self) -> int:
-        self.order_clock += 1
-        return self.order_clock
-
     def attach_cache(self, core_id: int, cache: MESICache) -> None:
         self._caches[core_id] = cache
 

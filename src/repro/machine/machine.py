@@ -204,11 +204,6 @@ class Machine:
             self._tm_drains = metrics.counter("machine.store_drains")
             self._tm_copy_lines = metrics.counter("machine.coherent_copy_lines")
 
-    def next_chunk_timestamp(self) -> int:
-        """Next chunk timestamp, from the fabric's serialized order clock
-        (see ``SnoopBus.order_clock``; the recorder inlines this bump)."""
-        return self.bus.next_chunk_timestamp()
-
     def load_program(self, program: Program) -> None:
         """Load the data segment and point every core's engine at the code."""
         self.program = program
@@ -234,8 +229,6 @@ class Machine:
             core.cycles += self._cost_writeback
         if core.cache.fill(line, MODIFIED if is_write else result.fill_state):
             core.cycles += self._cost_writeback
-        if core.recorder is not None and result.victim_timestamps:
-            core.recorder.observe_victims(result.victim_timestamps)
         if self._tm_enabled:
             telemetry = self.telemetry
             if upgrade:

@@ -51,9 +51,6 @@ class MemoryRaceRecorder:
         # retired-count at which the size cap fires; kept in step with
         # _icnt_start so the machine's per-unit gate is one compare.
         self._icnt_limit = config.max_chunk_instructions
-        # Diagnostics for the evaluation figures.
-        self.chunks_logged = 0
-        self.conflicts_caused = 0
         self.telemetry = telemetry or NULL_TELEMETRY
         # Hot-path hoists: telemetry enablement and the termination
         # thresholds are fixed for the recorder's lifetime, so the per-unit
@@ -211,10 +208,6 @@ class MemoryRaceRecorder:
                 args={"line": line, "reason": reason,
                       "core": self.core.core_id})
 
-    def observe_victims(self, victim_timestamps: list[int]) -> None:
-        """This core's transaction terminated remote chunks: count them."""
-        self.conflicts_caused += len(victim_timestamps)
-
     # -- self-initiated terminations -----------------------------------------
 
     def after_unit(self) -> None:
@@ -260,11 +253,10 @@ class MemoryRaceRecorder:
             self.core.drain_all()
         # Timestamp taken AFTER the drain: chunks the drain terminated
         # elsewhere must be ordered before this one (their reads preceded
-        # this chunk's store visibility). Inline of
-        # bus.next_chunk_timestamp() — terminate is on the conflict hot
-        # path and the counter bump does not merit a call. The clock lives
-        # on the fabric (the serialization point terminations already
-        # synchronize with), not in a machine-global counter.
+        # this chunk's store visibility). The clock is the fabric's
+        # ``order_clock`` (the serialization point terminations already
+        # synchronize with), not a machine-global counter; it is bumped
+        # here, the only place a chunk timestamp is drawn.
         bus = machine.bus
         timestamp = bus.order_clock + 1
         bus.order_clock = timestamp
@@ -296,6 +288,5 @@ class MemoryRaceRecorder:
                       "read_sat_pct": round(read_pct, 2),
                       "write_sat_pct": round(write_pct, 2)})
         self.sink(entry)
-        self.chunks_logged += 1
         self._begin_chunk()
         return timestamp

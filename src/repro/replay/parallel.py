@@ -26,6 +26,7 @@ recording is spilled to a temporary bundle automatically).
 from __future__ import annotations
 
 import multiprocessing
+import os
 import tempfile
 import time
 from dataclasses import dataclass
@@ -78,12 +79,13 @@ class ParallelReplayReport:
 
     @property
     def speedup_bound(self) -> float:
-        """Max parallel speedup the partition allows (total units over the
-        largest interval's units) — the critical-path bound, independent
-        of how many cores the host actually has."""
+        """Max parallel speedup this replay could reach: the partition's
+        critical path (total units over the largest interval's units),
+        capped by the job count and by the host's CPU count."""
         largest = max((o.units for o in self.intervals), default=0)
         total = sum(o.units for o in self.intervals)
-        return total / largest if largest else 1.0
+        critical_path = total / largest if largest else 1.0
+        return float(min(critical_path, self.jobs, os.cpu_count() or 1))
 
 
 def plan_intervals(recording: Recording) -> list[Interval]:

@@ -12,7 +12,7 @@ from repro.capo.recording import Recording
 from repro.errors import ReplayDivergenceError, ReproError
 from repro.mrr.logfmt import CheckpointRecord
 from repro.replay.checkpoint import build_checkpoints
-from repro.replay import checkpoint
+from repro.replay import checkpoint, parallel
 from repro.replay.parallel import plan_intervals, plan_runs, replay_parallel
 from repro.replay.replayer import Replayer
 
@@ -130,12 +130,24 @@ def test_missing_source_rejected():
         replay_parallel()
 
 
-def test_report_speedup_bound(recording):
-    _result, report = replay_parallel(recording=recording, jobs=1)
-    assert report.speedup_bound >= 1.0
-    largest = max(o.units for o in report.intervals)
-    total = sum(o.units for o in report.intervals)
-    assert report.speedup_bound == pytest.approx(total / largest)
+def test_report_speedup_bound(recording, monkeypatch):
+    _result, serial = replay_parallel(recording=recording, jobs=1)
+    assert serial.speedup_bound == 1.0  # one run: no parallelism at all
+    largest = max(o.units for o in serial.intervals)
+    critical_path = sum(o.units for o in serial.intervals) / largest
+    assert critical_path > 2
+
+    # 64 jobs ask for more runs than there are intervals: the report
+    # counts the runs actually made, and the bound never exceeds them
+    # nor the host's CPUs.
+    _result, report = replay_parallel(recording=recording, jobs=64)
+    assert report.jobs == len(report.intervals) < 64
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    assert report.speedup_bound == 2.0
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+    assert report.speedup_bound == 1.0
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)
+    assert report.speedup_bound == pytest.approx(critical_path)
 
 
 @settings(max_examples=40, deadline=None)
